@@ -6,7 +6,8 @@
  *
  * Compiled twice: as `micro_kernels` (everything) and as `router_bench`
  * (LISA_ROUTER_BENCH_ONLY defined — just the router-churn benchmarks,
- * reporting routes/s plus the pqPops/relaxations/prune counters).
+ * reporting routes/s plus the pqPops/relaxations/prune counters for the
+ * optimized kernels and the reference router from tests/).
  */
 
 #include <benchmark/benchmark.h>
@@ -19,6 +20,7 @@
 #include "gnn/schedule_order_net.hh"
 #include "mapping/router.hh"
 #include "mapping/router_workspace.hh"
+#include "router_reference.hh"
 #include "workloads/registry.hh"
 
 namespace {
@@ -35,11 +37,19 @@ randomGraph(int nodes, uint64_t seed)
     return dfg::generateRandomDfg(cfg, rng);
 }
 
+/** Range value 0 = optimized kernels (A* + oracle pruning), 1 = the
+ *  reference kernels. */
+map::RouteFn
+routerFor(int64_t reference)
+{
+    return reference != 0 ? &map::routeEdgeReference : &map::routeEdge;
+}
+
 /** One place-and-route-everything round: the mapper inner loop without
  *  the annealer. Returns the number of successfully routed edges. */
 uint64_t
 routeChurnRound(const dfg::Dfg &g, std::shared_ptr<const arch::Mrrg> mrrg,
-                uint64_t seed, map::RouterWorkspace &ws)
+                uint64_t seed, map::RouteFn route, map::RouterWorkspace &ws)
 {
     map::Mapping m(g, mrrg);
     Rng rng(seed);
@@ -55,8 +65,7 @@ routeChurnRound(const dfg::Dfg &g, std::shared_ptr<const arch::Mrrg> mrrg,
     }
     uint64_t routed = 0;
     for (dfg::EdgeId e = 0; e < static_cast<dfg::EdgeId>(g.numEdges()); ++e) {
-        const map::RouteResult *r =
-            map::routeEdge(m, e, map::RouterCosts{}, ws);
+        const map::RouteResult *r = route(m, e, map::RouterCosts{}, ws);
         if (r) {
             m.setRoute(e, r->path);
             ++routed;
@@ -86,8 +95,8 @@ reportRouterCounters(benchmark::State &state, const map::RouterWorkspace &ws,
         static_cast<double>(ws.counters.dpCellsSkipped), Counter::kIsRate);
 }
 
-/** Router churn on a temporal CGRA. Range: II, then 0 = optimized
- *  (A* + oracle pruning) / 1 = LISA_ROUTER_REFERENCE algorithm. */
+/** Router churn on a temporal CGRA. Range: II, then routerFor's
+ *  optimized/reference selector. */
 void
 BM_RouterChurnTemporal(benchmark::State &state)
 {
@@ -95,11 +104,11 @@ BM_RouterChurnTemporal(benchmark::State &state)
     auto mrrg =
         std::make_shared<const arch::Mrrg>(c, static_cast<int>(state.range(0)));
     dfg::Dfg g = randomGraph(16, 7);
+    const map::RouteFn route = routerFor(state.range(1));
     map::RouterWorkspace ws;
-    ws.referenceMode = state.range(1) != 0;
     uint64_t seed = 1, routed = 0;
     for (auto _ : state)
-        routed += routeChurnRound(g, mrrg, seed++, ws);
+        routed += routeChurnRound(g, mrrg, seed++, route, ws);
     reportRouterCounters(state, ws, routed);
 }
 BENCHMARK(BM_RouterChurnTemporal)
@@ -115,11 +124,11 @@ BM_RouterChurnSpatial(benchmark::State &state)
     arch::SystolicArch s(4, 6);
     auto mrrg = std::make_shared<const arch::Mrrg>(s, 1);
     dfg::Dfg g = randomGraph(16, 9);
+    const map::RouteFn route = routerFor(state.range(0));
     map::RouterWorkspace ws;
-    ws.referenceMode = state.range(0) != 0;
     uint64_t seed = 1, routed = 0;
     for (auto _ : state)
-        routed += routeChurnRound(g, mrrg, seed++, ws);
+        routed += routeChurnRound(g, mrrg, seed++, route, ws);
     reportRouterCounters(state, ws, routed);
 }
 BENCHMARK(BM_RouterChurnSpatial)->Arg(0)->Arg(1);
@@ -174,9 +183,11 @@ BM_RouteOneEdge(benchmark::State &state)
     // Producer and a far consumer: corner to corner, 4 cycles later.
     m.placeNode(a, PeId{0}, AbsTime{0});
     m.placeNode(b, PeId{15}, AbsTime{4});
+    map::RouterWorkspace ws;
     for (auto _ : state) {
-        auto r = map::routeEdge(m, edge, map::RouterCosts{});
-        benchmark::DoNotOptimize(r.has_value());
+        const map::RouteResult *r =
+            map::routeEdge(m, edge, map::RouterCosts{}, ws);
+        benchmark::DoNotOptimize(r);
     }
 }
 BENCHMARK(BM_RouteOneEdge)->Arg(2)->Arg(8);

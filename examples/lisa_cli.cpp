@@ -16,6 +16,7 @@
 #include <memory>
 #include <string>
 
+#include "arch/arch_context.hh"
 #include "arch/cgra.hh"
 #include "dfg/expr_parser.hh"
 #include "dfg/serialize.hh"
@@ -74,7 +75,8 @@ main(int argc, char **argv)
     map::SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 10.0;
-    auto result = map::searchMinIi(*mapper, *graph, *accel, opts);
+    arch::ArchContext context(*accel);
+    auto result = map::searchMinIi(*mapper, *graph, context, opts);
     if (!result.success) {
         std::printf("%s could not map the kernel on %s\n",
                     mapper->name().c_str(), accel->name().c_str());

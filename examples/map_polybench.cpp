@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 
+#include "arch/arch_context.hh"
 #include "arch/cgra.hh"
 #include "core/framework.hh"
 #include "mappers/exact_mapper.hh"
@@ -63,11 +64,12 @@ main(int argc, char **argv)
     opts.perIiBudget = 2.0;
     opts.totalBudget = 8.0;
 
+    arch::ArchContext context(*accel); // shared by both sweeps
     map::ExactMapper ilp;
-    report("ILP*", map::searchMinIi(ilp, w.dfg, *accel, opts));
+    report("ILP*", map::searchMinIi(ilp, w.dfg, context, opts));
 
     map::SaMapper sa;
-    report("SA", map::searchMinIi(sa, w.dfg, *accel, opts));
+    report("SA", map::searchMinIi(sa, w.dfg, context, opts));
 
     // LISA needs per-accelerator models; train small ones on first use
     // (cached under ./lisa_models for subsequent runs).

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 
+#include "arch/arch_context.hh"
 #include "arch/cgra.hh"
 #include "dfg/builder.hh"
 #include "dfg/serialize.hh"
@@ -33,6 +34,7 @@ main()
 
     // 2. Describe the target: a 4x4 mesh CGRA, 4 registers per PE.
     arch::CgraArch cgra(arch::baselineCgra(4, 4));
+    arch::ArchContext context(cgra); // MRRGs + routing tables, per II
 
     // 3. Compile: sweep II from the lower bound until a mapping fits.
     map::SaMapper mapper;
@@ -40,7 +42,7 @@ main()
     options.perIiBudget = 2.0;
     options.totalBudget = 10.0;
     map::SearchResult result =
-        map::searchMinIi(mapper, graph, cgra, options);
+        map::searchMinIi(mapper, graph, context, options);
 
     if (!result.success) {
         std::printf("mapping failed (MII was %d)\n", result.mii);

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 
+#include "arch/arch_context.hh"
 #include "arch/cgra.hh"
 #include "core/training_data.hh"
 #include "gnn/accuracy.hh"
@@ -31,7 +32,8 @@ main()
     std::printf("generating %zu synthetic DFGs and refining labels on %s "
                 "(this is the paper's one-off step)...\n",
                 data_cfg.numDfgs, cgra.name().c_str());
-    auto samples = core::generateTrainingSet(cgra, data_cfg, rng);
+    arch::ArchContext context(cgra);
+    auto samples = core::generateTrainingSet(context, data_cfg, rng);
     std::printf("  %zu samples survived the e = O + sigma*N filter\n",
                 samples.size());
     if (samples.size() < 4) {

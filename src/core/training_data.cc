@@ -114,14 +114,6 @@ refineLabels(const dfg::Dfg &dfg, arch::ArchContext &context,
     return refined;
 }
 
-std::optional<RefinedLabels>
-refineLabels(const dfg::Dfg &dfg, const arch::Accelerator &accel,
-             const TrainingDataConfig &config, Rng &rng)
-{
-    arch::ArchContext context(accel, std::string());
-    return refineLabels(dfg, context, config, rng);
-}
-
 bool
 passesFilter(const RefinedLabels &refined, const TrainingDataConfig &config)
 {
@@ -202,14 +194,6 @@ generateTrainingSet(arch::ArchContext &context,
     inform("training set for ", accel.name(), ": kept ", kept, ", dropped ",
            dropped);
     return samples;
-}
-
-std::vector<gnn::LabeledSample>
-generateTrainingSet(const arch::Accelerator &accel,
-                    const TrainingDataConfig &config, Rng &rng)
-{
-    arch::ArchContext context(accel, std::string());
-    return generateTrainingSet(context, config, rng);
 }
 
 } // namespace lisa::core

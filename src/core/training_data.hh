@@ -72,13 +72,6 @@ std::optional<RefinedLabels> refineLabels(const dfg::Dfg &dfg,
                                           const TrainingDataConfig &config,
                                           Rng &rng);
 
-/** Compatibility wrapper: refines through a transient, disk-less
- *  ArchContext scoped to this call. */
-std::optional<RefinedLabels> refineLabels(const dfg::Dfg &dfg,
-                                          const arch::Accelerator &accel,
-                                          const TrainingDataConfig &config,
-                                          Rng &rng);
-
 /** Filter metric e = O + sigma*N; kept when e >= threshold or bestIi ==
  *  mii. */
 bool passesFilter(const RefinedLabels &refined,
@@ -92,12 +85,6 @@ bool passesFilter(const RefinedLabels &refined,
  */
 std::vector<gnn::LabeledSample>
 generateTrainingSet(arch::ArchContext &context,
-                    const TrainingDataConfig &config, Rng &rng);
-
-/** Compatibility wrapper: runs through a transient, disk-less
- *  ArchContext scoped to this call. */
-std::vector<gnn::LabeledSample>
-generateTrainingSet(const arch::Accelerator &accel,
                     const TrainingDataConfig &config, Rng &rng);
 
 } // namespace lisa::core

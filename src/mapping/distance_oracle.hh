@@ -28,8 +28,8 @@
  * seed-free witness whose per-hop cost is >= the static base cost. The
  * static distance therefore never overestimates the remaining cost of an
  * optimal route, and A* / the DP prune return cost-identical results to
- * the undirected search (tests/test_router_equiv.cc pins this against the
- * LISA_ROUTER_REFERENCE fallback).
+ * the undirected search (tests/test_router_equiv.cc pins this by calling
+ * the reference router, tests/router_reference.hh, in lock-step).
  *
  * Ownership: since the tables are pure functions of (MRRG, cost knobs),
  * they live in a thread-safe arch::OracleStore shared by every workspace

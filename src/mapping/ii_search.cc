@@ -271,15 +271,4 @@ searchMinIi(Mapper &mapper, const dfg::Dfg &dfg, arch::ArchContext &context,
     return result;
 }
 
-SearchResult
-searchMinIi(Mapper &mapper, const dfg::Dfg &dfg,
-            const arch::Accelerator &accel, const SearchOptions &options)
-{
-    // Transient disk-less context: identical artifacts, scoped to this
-    // sweep (so temporal II attempts still share oracle tables, and
-    // nothing leaks across one-shot calls).
-    arch::ArchContext context(accel, std::string());
-    return searchMinIi(mapper, dfg, context, options);
-}
-
 } // namespace lisa::map

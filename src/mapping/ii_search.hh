@@ -134,16 +134,6 @@ SearchResult searchMinIi(Mapper &mapper, const dfg::Dfg &dfg,
                          arch::ArchContext &context,
                          const SearchOptions &options);
 
-/**
- * Compatibility wrapper: runs the sweep through a transient, disk-less
- * ArchContext scoped to this call. One-shot callers lose nothing; anyone
- * mapping a stream of DFGs should hold a context and use the overload
- * above.
- */
-SearchResult searchMinIi(Mapper &mapper, const dfg::Dfg &dfg,
-                         const arch::Accelerator &accel,
-                         const SearchOptions &options);
-
 } // namespace lisa::map
 
 #endif // LISA_MAPPING_II_SEARCH_HH

@@ -35,6 +35,7 @@ constexpr int kModeUnresolved = -1;
  *  pinned by RoutabilityModeRace.ExplicitOverrideBeatsEnvResolve). */
 std::atomic<int> g_mode{kModeUnresolved};
 
+// lint:cold-begin(env knob: read once per process by routabilityMode())
 int
 parseModeEnv()
 {
@@ -54,6 +55,7 @@ parseModeEnv()
          "' is not off/on/strict/collect; filter disabled");
     return static_cast<int>(RoutabilityMode::Off);
 }
+// lint:cold-end
 
 /** Serialized sample sink shared by every collecting workspace. */
 struct Collector

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "mapping/router_workspace.hh"
-#include "mappers/placement_util.hh"
 #include "support/logging.hh"
 #include "support/stopwatch.hh"
 
@@ -18,32 +17,11 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /**
  * Cost of occupying @p res with instance @p key, or kInf when blocked.
  * Reusing a resource that already carries the same instance (fanout) is
- * free; carrying a different instance costs the congestion penalty.
- *
- * Reference-kernel variant: re-derives the base cost from the resource
- * kind on every call. The optimized kernels use stepCostFast below.
+ * free; carrying a different instance costs the congestion penalty on top
+ * of the oracle's precomputed per-resource base cost.
  */
-double
-stepCost(const Mapping &mapping, int res, int64_t key,
-         const RouterCosts &costs)
-{
-    if (mapping.holdsInstance(res, key))
-        return 0.0;
-    const arch::Resource &r = mapping.mrrg().resource(res);
-    double base =
-        (r.kind == arch::ResourceKind::Fu) ? costs.fuCost : costs.regCost;
-    if (mapping.numInstancesOn(res) > 0) {
-        if (!costs.allowOveruse)
-            return kInf;
-        base += costs.overusePenalty;
-    }
-    return base;
-}
-
-/** stepCost with the kind branch hoisted into the oracle's precomputed
- *  per-resource base-cost array (identical values by construction). */
 inline double
-stepCostFast(const Mapping &mapping, int res, int64_t key,
+stepCost(const Mapping &mapping, int res, int64_t key,
              const RouterCosts &costs, std::span<const double> base)
 {
     if (mapping.holdsInstance(res, key))
@@ -93,176 +71,11 @@ prependSharedPrefix(const Mapping &mapping, dfg::EdgeId parentEdge,
 }
 
 /**
- * Exact-length layered DP for temporal architectures — reference kernel.
- *
- * The undirected pre-oracle algorithm, kept verbatim behind
- * LISA_ROUTER_REFERENCE (RouterWorkspace::referenceMode) as the ground
- * truth the equivalence property tests compare against. The optimized
- * kernel below must return bit-identical paths and costs.
- */
-const RouteResult *
-routeTemporalReference(const Mapping &mapping, dfg::EdgeId e,
-                       const RouterCosts &costs, RouterWorkspace &ws)
-{
-    const auto &mrrg = mapping.mrrg();
-    const dfg::Edge &edge = mapping.dfg().edge(e);
-    const Placement &src = mapping.placement(edge.src);
-    const Placement &dst = mapping.placement(edge.dst);
-    const int len = mapping.requiredLength(e);
-    if (len < 0)
-        return nullptr;
-
-    const int per_layer = mrrg.perLayerCount();
-    const int ii = mrrg.ii();
-
-    // DP cell (s, idx) = cheapest way to have the value on resource idx of
-    // layer (src.time + s) mod II after s moves. Parent -2 marks seeds;
-    // the seed's edge id supplies the shared fanout prefix.
-    ws.beginTemporal(len + 1, per_layer);
-
-    collectSeeds(mapping, edge.src, ws.seeds);
-    for (const RouteSeed &seed : ws.seeds) {
-        if (seed.step > len)
-            continue;
-        // A holder only seeds the step whose layer it sits on (route
-        // positions of the same producer always satisfy this).
-        if (mrrg.layerOfResource(seed.res) != (src.time + seed.step) % ii)
-            continue;
-        int idx = mrrg.indexInLayer(seed.res);
-        if (ws.dpCostAt(seed.step, idx) > 0.0)
-            ws.dpSeed(seed.step, idx, seed.parent);
-    }
-
-    for (int s = 0; s < len; ++s) {
-        const int layer_base = ((src.time + s) % ii) * per_layer;
-        const int64_t key =
-            mapping.instanceKey(edge.src, AbsTime{src.time + s + 1});
-        for (int idx = 0; idx < per_layer; ++idx) {
-            const double here = ws.dpCostAt(s, idx);
-            if (here == kInf)
-                continue;
-            const int res = layer_base + idx;
-            for (int next : mrrg.moveTargets(res)) {
-                double c = stepCost(mapping, next, key, costs);
-                if (c == kInf)
-                    continue;
-                int nidx = mrrg.indexInLayer(next);
-                if (ws.dpImprove(s + 1, nidx, here + c, idx))
-                    ++ws.counters.relaxations;
-            }
-        }
-    }
-
-    // Final holder must be able to feed the consumer op.
-    const int final_layer = (src.time + len) % ii;
-    double best = kInf;
-    int best_idx = -1;
-    for (int res : mrrg.feeders(dst.pe, dst.time)) {
-        if (mrrg.layerOfResource(res) != final_layer)
-            continue;
-        int idx = mrrg.indexInLayer(res);
-        if (ws.dpCostAt(len, idx) < best) {
-            best = ws.dpCostAt(len, idx);
-            best_idx = idx;
-        }
-    }
-    if (best_idx < 0)
-        return nullptr;
-
-    RouteResult &result = ws.result;
-    result.path.clear();
-    result.cost = best;
-    int s = len;
-    int idx = best_idx;
-    while (s > 0 && ws.dpParentAt(s, idx) != -2) {
-        // lint:allow-growth (amortized workspace buffer)
-        result.path.push_back(((src.time + s) % ii) * per_layer + idx);
-        idx = ws.dpParentAt(s, idx);
-        --s;
-    }
-    std::reverse(result.path.begin(), result.path.end());
-    if (s > 0) {
-        // Branched off an existing route mid-way.
-        prependSharedPrefix(mapping, ws.dpSeedEdgeAt(s, idx), s,
-                            result.path);
-    }
-    if (static_cast<int>(result.path.size()) != len)
-        panic("routeTemporal: reconstructed path length ",
-              result.path.size(), " != required ", len);
-    return &result;
-}
-
-/**
- * Variable-length Dijkstra for spatial-only architectures — reference
- * kernel (see routeTemporalReference). The optimized A* kernel returns
- * cost-identical routes; tie-breaking among equal-cost paths may differ.
- */
-const RouteResult *
-routeSpatialReference(const Mapping &mapping, dfg::EdgeId e,
-                      const RouterCosts &costs, RouterWorkspace &ws)
-{
-    const auto &mrrg = mapping.mrrg();
-    const dfg::Edge &edge = mapping.dfg().edge(e);
-    const Placement &dst = mapping.placement(edge.dst);
-    const int64_t key = mapping.instanceKey(edge.src, AbsTime{0});
-
-    ws.beginSpatial(mrrg.numResources());
-
-    collectSeeds(mapping, edge.src, ws.seeds);
-    for (const RouteSeed &seed : ws.seeds) {
-        if (ws.costOf(seed.res) > 0.0) {
-            ws.seedSpatial(seed.res, seed.step, seed.parent);
-            ws.pushHeap(0.0, seed.res);
-        }
-    }
-
-    for (int g : mrrg.feeders(dst.pe, dst.time))
-        ws.markGoal(g);
-
-    int found = -1;
-    while (!ws.heapEmpty()) {
-        auto [c, res] = ws.popHeap();
-        ++ws.counters.pqPops;
-        if (c > ws.costOf(res))
-            continue;
-        if (ws.isGoal(res)) {
-            found = res;
-            break;
-        }
-        for (int next : mrrg.moveTargets(res)) {
-            double sc = stepCost(mapping, next, key, costs);
-            if (sc == kInf)
-                continue;
-            if (ws.improve(next, c + sc, res)) {
-                ++ws.counters.relaxations;
-                ws.pushHeap(c + sc, next);
-            }
-        }
-    }
-    if (found < 0)
-        return nullptr;
-
-    RouteResult &result = ws.result;
-    result.path.clear();
-    result.cost = ws.costOf(found);
-    int res = found;
-    while (ws.parentOf(res) != -2) {
-        // lint:allow-growth (amortized workspace buffer)
-        result.path.push_back(res);
-        res = ws.parentOf(res);
-    }
-    std::reverse(result.path.begin(), result.path.end());
-    // Prepend the shared fanout prefix when the search started mid-route.
-    prependSharedPrefix(mapping, ws.seedEdgeOf(res), ws.seedStepOf(res),
-                        result.path);
-    return &result;
-}
-
-/**
  * Exact-length layered DP, goal-directed via the static-distance oracle.
  *
- * Three additions over the reference kernel, none of which can change the
- * result (tests/test_router_equiv.cc asserts path identity):
+ * Three additions over the plain layered DP (the reference kernel in
+ * tests/router_reference.cc), none of which can change the result
+ * (tests/test_router_equiv.cc asserts path identity):
  *
  *  - Early structural fail: if no seed can reach the destination's feeder
  *    set within its remaining step budget (reverse-BFS min-hop table),
@@ -350,7 +163,7 @@ routeTemporal(const Mapping &mapping, dfg::EdgeId e, const RouterCosts &costs,
                 const int nidx = mrrg.indexInLayer(next);
                 double c;
                 if (!ws.memoGet(nidx, c)) {
-                    c = stepCostFast(mapping, next, key, costs, base);
+                    c = stepCost(mapping, next, key, costs, base);
                     ws.memoPut(nidx, c);
                 }
                 if (c == kInf)
@@ -464,7 +277,7 @@ routeSpatial(const Mapping &mapping, dfg::EdgeId e, const RouterCosts &costs,
             }
             double sc;
             if (!ws.memoGet(next, sc)) {
-                sc = stepCostFast(mapping, next, key, costs, base);
+                sc = stepCost(mapping, next, key, costs, base);
                 ws.memoPut(next, sc);
             }
             if (sc == kInf)
@@ -497,7 +310,7 @@ routeSpatial(const Mapping &mapping, dfg::EdgeId e, const RouterCosts &costs,
 
 /**
  * The metered search-kernel dispatch of routeEdge: stopwatch, call and
- * failure counting, growth accounting, mode selection. Kept separate so
+ * failure counting, growth accounting, kernel selection. Kept separate so
  * the routability filter can shadow-route a rejected edge through the
  * identical accounting path.
  */
@@ -512,9 +325,7 @@ dispatchRoute(const Mapping &mapping, dfg::EdgeId e, const dfg::Edge &edge,
 
     const RouteResult *out;
     if (mapping.mrrg().accel().temporalMapping()) {
-        out = ws.referenceMode
-                  ? routeTemporalReference(mapping, e, costs, ws)
-                  : routeTemporal(mapping, e, costs, ws);
+        out = routeTemporal(mapping, e, costs, ws);
     } else if (edge.src == edge.dst) {
         // On spatial-only arrays an accumulator feedback loop lives inside
         // the PE (a MAC unit): routing it through a neighbour would add
@@ -524,9 +335,7 @@ dispatchRoute(const Mapping &mapping, dfg::EdgeId e, const dfg::Edge &edge,
         ws.result.cost = 0.0;
         out = &ws.result;
     } else {
-        out = ws.referenceMode
-                  ? routeSpatialReference(mapping, e, costs, ws)
-                  : routeSpatial(mapping, e, costs, ws);
+        out = routeSpatial(mapping, e, costs, ws);
     }
 
     if (!out)
@@ -551,15 +360,14 @@ routeEdge(const Mapping &mapping, dfg::EdgeId e, const RouterCosts &costs,
     if (mapping.isRouted(e))
         panic("routeEdge: edge ", e, " already routed");
 
-    // Learned routability admission (temporal fabrics, optimized kernels
-    // only): a predicted-unroutable candidate skips the search entirely
-    // in `on` mode, is audited in `strict` mode (the router's answer
+    // Learned routability admission (temporal fabrics only): a
+    // predicted-unroutable candidate skips the search entirely in `on`
+    // mode, is audited in `strict` mode (the router's answer
     // wins, so behavior is bit-identical to `off`), and is only observed
     // in `collect` mode.
     std::array<double, RoutabilityModel::kFeatureCount> feats;
     RoutabilityVerdict verdict;
-    if (!ws.referenceMode && ws.filter.enabled() &&
-        mapping.mrrg().accel().temporalMapping()) {
+    if (ws.filter.enabled() && mapping.mrrg().accel().temporalMapping()) {
         ws.oracle.bind(mapping.mrrgPtr(), costs, ws.archContext,
                        ws.counters);
         verdict = ws.filter.assess(mapping, e, costs.allowOveruse,
@@ -597,53 +405,6 @@ routeEdge(const Mapping &mapping, dfg::EdgeId e, const RouterCosts &costs,
     return out;
 }
 
-std::optional<RouteResult>
-routeEdge(const Mapping &mapping, dfg::EdgeId e, const RouterCosts &costs)
-{
-    RouterWorkspace ws;
-    const RouteResult *r = routeEdge(mapping, e, costs, ws);
-    if (!r)
-        return std::nullopt;
-    return *r;
-}
-
-int
-rerouteIncident(Mapping &mapping, dfg::NodeId v, const RouterCosts &costs,
-                RouterWorkspace &ws)
-{
-    // incidentEdges keeps self-loops once. Building the rip-up set from
-    // raw inEdges + outEdges would list a self-loop edge twice, and the
-    // second pass would hit routeEdge's already-routed panic after the
-    // first pass installed its (empty) route.
-    std::vector<dfg::EdgeId> affected = incidentEdges(mapping.dfg(), v);
-
-    for (dfg::EdgeId e : affected)
-        mapping.clearRoute(e);
-
-    int failures = 0;
-    for (dfg::EdgeId e : affected) {
-        if (mapping.isRouted(e))
-            continue; // defensive guard, mirroring routeAll
-        const dfg::Edge &edge = mapping.dfg().edge(e);
-        if (!mapping.isPlaced(edge.src) || !mapping.isPlaced(edge.dst))
-            continue;
-        const RouteResult *result = routeEdge(mapping, e, costs, ws);
-        if (result) {
-            mapping.setRoute(e, result->path);
-        } else {
-            ++failures;
-        }
-    }
-    return failures;
-}
-
-int
-rerouteIncident(Mapping &mapping, dfg::NodeId v, const RouterCosts &costs)
-{
-    RouterWorkspace ws;
-    return rerouteIncident(mapping, v, costs, ws);
-}
-
 int
 routeAll(Mapping &mapping, const RouterCosts &costs, RouterWorkspace &ws,
          const std::vector<dfg::EdgeId> &order)
@@ -674,14 +435,6 @@ routeAll(Mapping &mapping, const RouterCosts &costs, RouterWorkspace &ws,
         }
     }
     return failures;
-}
-
-int
-routeAll(Mapping &mapping, const RouterCosts &costs,
-         const std::vector<dfg::EdgeId> &order)
-{
-    RouterWorkspace ws;
-    return routeAll(mapping, costs, ws, order);
 }
 
 } // namespace lisa::map

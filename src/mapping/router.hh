@@ -13,7 +13,6 @@
 #ifndef LISA_MAPPING_ROUTER_HH
 #define LISA_MAPPING_ROUTER_HH
 
-#include <optional>
 #include <vector>
 
 #include "mapping/mapping.hh"
@@ -47,47 +46,22 @@ struct RouteResult
 };
 
 /**
- * Route edge @p e of @p mapping. Both endpoints must be placed and the
- * edge un-routed. Returns std::nullopt when no route exists (negative
- * required length, blocked resources in strict mode, or disconnection).
- *
- * Convenience wrapper over the workspace overload below; it pays one
- * workspace construction (and the search-array allocations) per call, so
- * hot loops should hold a RouterWorkspace and use the overload instead.
- */
-std::optional<RouteResult> routeEdge(const Mapping &mapping, dfg::EdgeId e,
-                                     const RouterCosts &costs);
-
-/**
- * Route edge @p e using @p ws for all scratch state. Zero heap
- * allocations once the workspace has grown to the (MRRG, DFG) high-water
- * mark. Returns nullptr when no route exists; otherwise a pointer into
- * the workspace, valid until the next routeEdge call on @p ws.
+ * Route edge @p e of @p mapping using @p ws for all scratch state. Both
+ * endpoints must be placed and the edge un-routed. Zero heap allocations
+ * once the workspace has grown to the (MRRG, DFG) high-water mark.
+ * Returns nullptr when no route exists (negative required length,
+ * blocked resources in strict mode, or disconnection); otherwise a
+ * pointer into the workspace, valid until the next routeEdge call on
+ * @p ws.
  */
 const RouteResult *routeEdge(const Mapping &mapping, dfg::EdgeId e,
                              const RouterCosts &costs, RouterWorkspace &ws);
-
-/**
- * Rip up and re-route every edge incident to @p v (both directions,
- * self-loops once). Failed edges are left un-routed. @return number of
- * edges that failed.
- */
-int rerouteIncident(Mapping &mapping, dfg::NodeId v,
-                    const RouterCosts &costs);
-
-/** rerouteIncident with caller-owned router scratch state. */
-int rerouteIncident(Mapping &mapping, dfg::NodeId v, const RouterCosts &costs,
-                    RouterWorkspace &ws);
 
 /**
  * Route all currently un-routed edges whose endpoints are placed, in the
  * given order (or edge-id order when @p order is empty).
  * @return number of edges that could not be routed.
  */
-int routeAll(Mapping &mapping, const RouterCosts &costs,
-             const std::vector<dfg::EdgeId> &order = {});
-
-/** routeAll with caller-owned router scratch state. */
 int routeAll(Mapping &mapping, const RouterCosts &costs, RouterWorkspace &ws,
              const std::vector<dfg::EdgeId> &order = {});
 

@@ -1,8 +1,6 @@
 #include "mapping/router_workspace.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 namespace lisa::map {
 
@@ -22,12 +20,6 @@ struct HeapGreater
 };
 
 } // namespace
-
-RouterWorkspace::RouterWorkspace()
-{
-    const char *v = std::getenv("LISA_ROUTER_REFERENCE");
-    referenceMode = v && *v && std::strcmp(v, "0") != 0;
-}
 
 void
 RouterWorkspace::beginSpatial(int numResources)

@@ -133,9 +133,6 @@ class RouterWorkspace
   public:
     static constexpr double kInf = std::numeric_limits<double>::infinity();
 
-    /** Reads LISA_ROUTER_REFERENCE into referenceMode. */
-    RouterWorkspace();
-
     /** @{ Search-start hooks: bump the epoch and size the arrays. */
     void beginSpatial(int numResources);
     /** @p steps rows (required length + 1) of @p perLayer slots each. */
@@ -276,11 +273,6 @@ class RouterWorkspace
      *  = build a workspace-private store (historical behavior). Set by
      *  the mappers from MapContext::archCtx before routing. */
     arch::ArchContext *archContext = nullptr;
-
-    /** When true, routeEdge runs the undirected pre-oracle kernels
-     *  (exact pre-change algorithm). Initialized from the
-     *  LISA_ROUTER_REFERENCE environment knob; tests set it directly. */
-    bool referenceMode = false;
 
     /** @{ Capacity introspection for the zero-allocation tests. */
     /** Total bytes of heap capacity held by all internal buffers. */

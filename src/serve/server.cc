@@ -121,41 +121,77 @@ ServeServer::reapFinished()
         t.join();
 }
 
+namespace {
+
+/** Write all of @p data to @p fd. @return false when the peer is gone. */
+bool
+sendAll(int fd, const std::string &data)
+{
+    size_t off = 0;
+    while (off < data.size()) {
+        // MSG_NOSIGNAL: a client that hung up must surface as EPIPE
+        // here, not as a process-killing SIGPIPE.
+        const ssize_t w = ::send(fd, data.data() + off, data.size() - off,
+                                 MSG_NOSIGNAL);
+        if (w <= 0)
+            return false;
+        off += static_cast<size_t>(w);
+    }
+    return true;
+}
+
+/** Response line for a request over ServeServer::kMaxLineBytes. */
+std::string
+lineTooLong()
+{
+    return encodeError("request line exceeds " +
+                       std::to_string(ServeServer::kMaxLineBytes) +
+                       " bytes") +
+           '\n';
+}
+
+} // namespace
+
 void
 ServeServer::serveConnection(int fd)
 {
     std::string pending;
+    // Bytes of `pending` already searched for '\n': each recv scans only
+    // what it appended, so a long line costs O(n), not O(n^2).
+    size_t scanned = 0;
     char buf[1 << 14];
     while (true) {
         const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
         if (n <= 0)
             break;
         pending.append(buf, static_cast<size_t>(n));
+        size_t start = 0;
         size_t nl = 0;
-        while ((nl = pending.find('\n')) != std::string::npos) {
-            std::string line = pending.substr(0, nl);
-            pending.erase(0, nl + 1);
+        while ((nl = pending.find('\n', scanned)) != std::string::npos) {
+            if (nl - start > kMaxLineBytes) {
+                sendAll(fd, lineTooLong());
+                return;
+            }
+            std::string line = pending.substr(start, nl - start);
+            start = scanned = nl + 1;
             if (line.empty())
                 continue;
-            std::string response = handleLine(line);
-            response += '\n';
-            size_t off = 0;
-            while (off < response.size()) {
-                // MSG_NOSIGNAL: a client that hung up must surface as
-                // EPIPE here, not as a process-killing SIGPIPE.
-                const ssize_t w =
-                    ::send(fd, response.data() + off,
-                           response.size() - off, MSG_NOSIGNAL);
-                if (w <= 0)
-                    return;
-                off += static_cast<size_t>(w);
-            }
+            if (!sendAll(fd, handleLine(line) + '\n'))
+                return;
             if (shuttingDown.load(std::memory_order_acquire)) {
                 // Shutdown response is flushed; only now wake the main
                 // thread, so stop() cannot race the last write.
                 shutdownCv.notify_all();
                 return;
             }
+        }
+        pending.erase(0, start);
+        scanned = pending.size();
+        if (pending.size() > kMaxLineBytes) {
+            // A line this long is never a valid request, and buffering
+            // it would let one client grow the daemon without bound.
+            sendAll(fd, lineTooLong());
+            return;
         }
     }
 }

@@ -6,9 +6,10 @@
  * is also callable directly (tests and the in-process bench bypass the
  * socket without losing protocol coverage). One accept loop thread, one
  * thread per connection, newline-delimited JSON both ways; a connection
- * handles any number of requests sequentially. The "shutdown" op flips
- * the server into draining mode: the accept loop stops, and
- * waitForShutdown() (the daemon main's park point) returns.
+ * handles any number of requests sequentially, each at most
+ * kMaxLineBytes long. The "shutdown" op flips the server into draining
+ * mode: the accept loop stops, and waitForShutdown() (the daemon main's
+ * park point) returns.
  */
 
 #ifndef LISA_SERVE_SERVER_HH
@@ -29,6 +30,12 @@ namespace lisa::serve {
 class ServeServer
 {
   public:
+    /** Longest request line accepted, in bytes without the '\n'. A
+     *  connection that sends a longer line gets one protocol error
+     *  response and is closed. Far above any real request: the largest
+     *  PolyBench map request (symm unrolled 4x) is about 3 KB. */
+    static constexpr size_t kMaxLineBytes = size_t{1} << 20;
+
     /** @p service must outlive the server. */
     ServeServer(MappingService &service, std::string socket_path);
     ~ServeServer();

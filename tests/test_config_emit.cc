@@ -5,6 +5,7 @@
 #include "arch/cgra.hh"
 #include "dfg/builder.hh"
 #include "mapping/router.hh"
+#include "mapping/router_workspace.hh"
 #include "sim/config_emit.hh"
 
 namespace {
@@ -34,7 +35,8 @@ TEST_F(ConfigTest, ComputeRolesRecorded)
     map::Mapping m(graph, mrrg);
     m.placeNode(0, PeId{0}, AbsTime{0});
     m.placeNode(1, PeId{1}, AbsTime{1});
-    ASSERT_EQ(map::routeAll(m, map::RouterCosts{}), 0);
+    map::RouterWorkspace ws;
+    ASSERT_EQ(map::routeAll(m, map::RouterCosts{}, ws), 0);
 
     auto config = sim::extractConfiguration(m);
     ASSERT_EQ(config.size(), 2u);
@@ -51,7 +53,8 @@ TEST_F(ConfigTest, RouteAndRegisterRolesRecorded)
     map::Mapping m(graph, mrrg);
     m.placeNode(0, PeId{0}, AbsTime{0});
     m.placeNode(1, PeId{0}, AbsTime{3}); // register hold for two cycles
-    ASSERT_EQ(map::routeAll(m, map::RouterCosts{}), 0);
+    map::RouterWorkspace ws;
+    ASSERT_EQ(map::routeAll(m, map::RouterCosts{}, ws), 0);
 
     auto config = sim::extractConfiguration(m);
     int register_slots = 0;
@@ -67,7 +70,8 @@ TEST_F(ConfigTest, TextListingMentionsEverything)
     map::Mapping m(graph, mrrg);
     m.placeNode(0, PeId{0}, AbsTime{0});
     m.placeNode(1, PeId{1}, AbsTime{1});
-    ASSERT_EQ(map::routeAll(m, map::RouterCosts{}), 0);
+    map::RouterWorkspace ws;
+    ASSERT_EQ(map::routeAll(m, map::RouterCosts{}, ws), 0);
     std::string text = sim::configurationToText(m);
     EXPECT_NE(text.find("II=2"), std::string::npos);
     EXPECT_NE(text.find("load"), std::string::npos);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/arch_context.hh"
 #include "arch/cgra.hh"
 #include "arch/systolic.hh"
 #include "dfg/builder.hh"
@@ -48,7 +49,8 @@ TEST(EvoMapper, SearchFindsLowIiForEasyKernel)
     SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 8.0;
-    auto r = searchMinIi(evo, w.dfg, c, opts);
+    arch::ArchContext ctx(c, "");
+    auto r = searchMinIi(evo, w.dfg, ctx, opts);
     ASSERT_TRUE(r.success);
     EXPECT_GE(r.ii, r.mii);
     ASSERT_TRUE(r.mapping.has_value());

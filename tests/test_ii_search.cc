@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/arch_context.hh"
 #include "arch/cgra.hh"
 #include "arch/systolic.hh"
 #include "dfg/builder.hh"
@@ -66,7 +67,8 @@ TEST(SearchMinIi, FindsLowIiForEasyKernel)
     SearchOptions opts;
     opts.perIiBudget = 1.0;
     opts.totalBudget = 5.0;
-    auto r = searchMinIi(sa, w.dfg, c, opts);
+    arch::ArchContext ctx(c, "");
+    auto r = searchMinIi(sa, w.dfg, ctx, opts);
     ASSERT_TRUE(r.success);
     EXPECT_GE(r.ii, r.mii);
     EXPECT_LE(r.ii, 2);
@@ -83,7 +85,8 @@ TEST(SearchMinIi, FailsOnUnsupportedOps)
     SaMapper sa;
     SearchOptions opts;
     opts.totalBudget = 1.0;
-    auto r = searchMinIi(sa, trmm, s, opts);
+    arch::ArchContext ctx(s, "");
+    auto r = searchMinIi(sa, trmm, ctx, opts);
     EXPECT_FALSE(r.success);
     EXPECT_EQ(r.ii, 0);
 }
@@ -96,7 +99,8 @@ TEST(SearchMinIi, SpatialRejectsOversizedDfg)
     SaMapper sa;
     SearchOptions opts;
     opts.totalBudget = 1.0;
-    auto r = searchMinIi(sa, w, s, opts);
+    arch::ArchContext ctx(s, "");
+    auto r = searchMinIi(sa, w, ctx, opts);
     EXPECT_FALSE(r.success);
 }
 
@@ -108,7 +112,8 @@ TEST(SearchMinIi, RespectsTotalBudget)
     SearchOptions opts;
     opts.perIiBudget = 0.1;
     opts.totalBudget = 0.3;
-    auto r = searchMinIi(sa, w.dfg, c, opts);
+    arch::ArchContext ctx(c, "");
+    auto r = searchMinIi(sa, w.dfg, ctx, opts);
     EXPECT_LT(r.seconds, 2.0);
 }
 
@@ -139,7 +144,8 @@ TEST(SearchMinIi, SpatialZeroTotalBudgetSkipsMapper)
     SearchOptions opts;
     opts.perIiBudget = 5.0;
     opts.totalBudget = 0.0;
-    auto r = searchMinIi(probe, g, s, opts);
+    arch::ArchContext ctx(s, "");
+    auto r = searchMinIi(probe, g, ctx, opts);
     EXPECT_FALSE(r.success);
     EXPECT_TRUE(probe.budgets.empty());
     EXPECT_EQ(r.attempts, 0);
@@ -161,7 +167,8 @@ TEST(SearchMinIi, SpatialHonorsStopFlag)
     opts.perIiBudget = 5.0;
     opts.totalBudget = 5.0;
     opts.stop = &stop;
-    auto r = searchMinIi(probe, g, s, opts);
+    arch::ArchContext ctx(s, "");
+    auto r = searchMinIi(probe, g, ctx, opts);
     EXPECT_FALSE(r.success);
     EXPECT_TRUE(probe.budgets.empty());
     EXPECT_EQ(r.attempts, 0);
@@ -182,7 +189,8 @@ TEST(SearchMinIi, AttemptBudgetsClampedToRemainingTime)
     SearchOptions opts;
     opts.perIiBudget = 0.05;
     opts.totalBudget = 0.2;
-    auto r = searchMinIi(probe, g, c, opts);
+    arch::ArchContext ctx(c, "");
+    auto r = searchMinIi(probe, g, ctx, opts);
     EXPECT_FALSE(r.success);
     ASSERT_FALSE(probe.budgets.empty());
     for (double budget : probe.budgets) {
@@ -203,7 +211,8 @@ TEST(SearchMinIi, SpatialUnmappableReportsMiiZero)
     SaMapper sa;
     SearchOptions opts;
     opts.totalBudget = 1.0;
-    auto r = searchMinIi(sa, trmm, s, opts);
+    arch::ArchContext ctx(s, "");
+    auto r = searchMinIi(sa, trmm, ctx, opts);
     EXPECT_FALSE(r.success);
     EXPECT_EQ(r.mii, 0);
 }
@@ -216,7 +225,8 @@ TEST(SearchMinIi, SpatialOversizedDfgReportsMiiZero)
     SaMapper sa;
     SearchOptions opts;
     opts.totalBudget = 1.0;
-    auto r = searchMinIi(sa, w, s, opts);
+    arch::ArchContext ctx(s, "");
+    auto r = searchMinIi(sa, w, ctx, opts);
     EXPECT_FALSE(r.success);
     EXPECT_EQ(r.mii, 0);
 }
@@ -234,7 +244,8 @@ TEST(SearchMinIi, SpatialSecondsIncludeVerification)
     SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 4.0;
-    auto r = searchMinIi(sa, gemm, s, opts);
+    arch::ArchContext ctx(s, "");
+    auto r = searchMinIi(sa, gemm, ctx, opts);
     ASSERT_TRUE(r.success);
     EXPECT_TRUE(r.verified);
     EXPECT_GE(r.seconds, r.verifySeconds);
@@ -257,7 +268,8 @@ TEST(SearchMinIi, SpatialIncumbentDominationSkipsAttempt)
     opts.totalBudget = 5.0;
     opts.incumbent = &incumbent;
     opts.memberRank = 1;
-    auto r = searchMinIi(probe, g, s, opts);
+    arch::ArchContext ctx(s, "");
+    auto r = searchMinIi(probe, g, ctx, opts);
     EXPECT_FALSE(r.success);
     EXPECT_TRUE(probe.budgets.empty());
     EXPECT_EQ(r.cancelledAtIi, 1);
@@ -282,7 +294,8 @@ TEST(SearchMinIi, TemporalIncumbentBoundsSweep)
     opts.totalBudget = 5.0;
     opts.incumbent = &incumbent;
     opts.memberRank = 1;
-    auto r = searchMinIi(probe, g, c, opts);
+    arch::ArchContext ctx(c, "");
+    auto r = searchMinIi(probe, g, ctx, opts);
     EXPECT_FALSE(r.success);
     EXPECT_EQ(probe.budgets.size(), 1u);
     EXPECT_EQ(r.cancelledAtIi, 2);
@@ -326,14 +339,16 @@ TEST(BudgetClass, StampedIntoSearchResult)
     SearchOptions opts;
     opts.perIiBudget = 1.0;
     opts.totalBudget = 2.0;
-    auto r = searchMinIi(sa, w.dfg, c, opts);
+    arch::ArchContext ctx(c, "");
+    auto r = searchMinIi(sa, w.dfg, ctx, opts);
     EXPECT_EQ(r.budgetClass, BudgetClass::Fast);
 
     arch::SystolicArch s(5, 5);
     auto trmm = workloads::polybenchKernel(
         "trmm", workloads::KernelVariant::Streaming);
     opts.totalBudget = 1.0;
-    auto fail = searchMinIi(sa, trmm, s, opts);
+    arch::ArchContext ctx2(s, "");
+    auto fail = searchMinIi(sa, trmm, ctx2, opts);
     EXPECT_FALSE(fail.success);
     EXPECT_EQ(fail.budgetClass, BudgetClass::Fast);
 }
@@ -347,7 +362,8 @@ TEST(SearchMinIi, MappedSystolicKernelHasIiOne)
     SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 4.0;
-    auto r = searchMinIi(sa, gemm, s, opts);
+    arch::ArchContext ctx(s, "");
+    auto r = searchMinIi(sa, gemm, ctx, opts);
     ASSERT_TRUE(r.success);
     EXPECT_EQ(r.ii, 1);
     EXPECT_TRUE(r.mapping->valid());

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/arch_context.hh"
 #include "arch/cgra.hh"
 #include "arch/systolic.hh"
 #include "core/lisa_mapper.hh"
@@ -35,15 +36,18 @@ TEST(Integration, AllMappersAgreeGemmIsMappable)
     dfg::Analysis an(w.dfg);
 
     map::SaMapper sa;
-    auto r_sa = map::searchMinIi(sa, w.dfg, c, quick());
+    arch::ArchContext ctx(c, "");
+    auto r_sa = map::searchMinIi(sa, w.dfg, ctx, quick());
     EXPECT_TRUE(r_sa.success);
 
     map::ExactMapper ex;
-    auto r_ex = map::searchMinIi(ex, w.dfg, c, quick());
+    arch::ArchContext ctx2(c, "");
+    auto r_ex = map::searchMinIi(ex, w.dfg, ctx2, quick());
     EXPECT_TRUE(r_ex.success);
 
     core::LisaMapper lm(core::initialLabels(w.dfg, an));
-    auto r_lm = map::searchMinIi(lm, w.dfg, c, quick());
+    arch::ArchContext ctx3(c, "");
+    auto r_lm = map::searchMinIi(lm, w.dfg, ctx3, quick());
     EXPECT_TRUE(r_lm.success);
 }
 
@@ -58,7 +62,8 @@ TEST_P(SuiteOnCgra, SaMapsWithinConfigDepth)
     arch::CgraArch c(arch::baselineCgra(rows, cols));
     auto w = workloads::workloadByName(name);
     map::SaMapper sa;
-    auto r = map::searchMinIi(sa, w.dfg, c, quick(1.0, 6.0));
+    arch::ArchContext ctx(c, "");
+    auto r = map::searchMinIi(sa, w.dfg, ctx, quick(1.0, 6.0));
     ASSERT_TRUE(r.success) << name;
     EXPECT_GE(r.ii, r.mii);
     EXPECT_LE(r.ii, c.maxIi());
@@ -111,7 +116,8 @@ TEST(Integration, SystolicStreamingSubsetMaps)
             name, workloads::KernelVariant::Streaming);
         dfg::Analysis an(g);
         core::LisaMapper lm(core::initialLabels(g, an), cfg);
-        auto r = map::searchMinIi(lm, g, s, quick(2.0, 4.0));
+        arch::ArchContext ctx(s, "");
+        auto r = map::searchMinIi(lm, g, ctx, quick(2.0, 4.0));
         EXPECT_TRUE(r.success) << name;
     }
 }
@@ -123,7 +129,8 @@ TEST(Integration, LisaMapsDenseKernelVanillaSaStrugglesWith)
     auto w = workloads::workloadByName("gemver");
     dfg::Analysis an(w.dfg);
     core::LisaMapper lm(core::initialLabels(w.dfg, an));
-    auto r = map::searchMinIi(lm, w.dfg, c, quick(2.0, 12.0));
+    arch::ArchContext ctx(c, "");
+    auto r = map::searchMinIi(lm, w.dfg, ctx, quick(2.0, 12.0));
     EXPECT_TRUE(r.success);
 }
 
@@ -135,7 +142,8 @@ TEST(Integration, SaMedianOfThreeRunsIsStable)
     auto w = workloads::workloadByName("doitgen");
     for (uint64_t seed : {1u, 2u, 3u}) {
         map::SaMapper sa;
-        auto r = map::searchMinIi(sa, w.dfg, c, quick(1.0, 4.0, seed));
+        arch::ArchContext ctx(c, "");
+        auto r = map::searchMinIi(sa, w.dfg, ctx, quick(1.0, 4.0, seed));
         ASSERT_TRUE(r.success);
         EXPECT_TRUE(r.mapping->valid());
     }

@@ -8,6 +8,7 @@
 #include "core/labels.hh"
 #include "dfg/builder.hh"
 #include "mapping/router.hh"
+#include "mapping/router_workspace.hh"
 
 namespace {
 
@@ -78,7 +79,8 @@ TEST(LabelExtract, ValuesComeFromPlacement)
     m.placeNode(1, PeId{1}, AbsTime{1});
     m.placeNode(2, PeId{4}, AbsTime{1});
     m.placeNode(3, PeId{5}, AbsTime{2});
-    ASSERT_EQ(map::routeAll(m, map::RouterCosts{}), 0);
+    map::RouterWorkspace ws;
+    ASSERT_EQ(map::routeAll(m, map::RouterCosts{}, ws), 0);
     ASSERT_TRUE(m.valid());
 
     Labels lbl = extractLabels(m, an);
@@ -110,7 +112,8 @@ TEST(LabelExtract, RecurrenceTemporalDistanceIncludesIi)
     map::Mapping m(g, mrrg);
     m.placeNode(0, PeId{0}, AbsTime{0});
     m.placeNode(1, PeId{1}, AbsTime{1});
-    ASSERT_EQ(map::routeAll(m, map::RouterCosts{}), 0);
+    map::RouterWorkspace ws;
+    ASSERT_EQ(map::routeAll(m, map::RouterCosts{}, ws), 0);
     ASSERT_TRUE(m.valid());
     Labels lbl = extractLabels(m, an);
     // Self edge: distance 1 * II 2 + (1 - 1) = 2 cycles.

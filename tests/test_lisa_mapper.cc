@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/arch_context.hh"
 #include "arch/cgra.hh"
 #include "arch/systolic.hh"
 #include "core/lisa_mapper.hh"
@@ -28,7 +29,8 @@ TEST(LisaMapper, MapsGemmWithInitialLabels)
     map::SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 8.0;
-    auto r = map::searchMinIi(mapper, w.dfg, c, opts);
+    arch::ArchContext ctx(c, "");
+    auto r = map::searchMinIi(mapper, w.dfg, ctx, opts);
     ASSERT_TRUE(r.success);
     EXPECT_TRUE(r.mapping->valid());
     EXPECT_LE(r.ii, 3);
@@ -45,7 +47,8 @@ TEST(LisaMapper, PartialModeAlsoMaps)
     map::SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 8.0;
-    auto r = map::searchMinIi(mapper, w.dfg, c, opts);
+    arch::ArchContext ctx(c, "");
+    auto r = map::searchMinIi(mapper, w.dfg, ctx, opts);
     ASSERT_TRUE(r.success);
     EXPECT_TRUE(r.mapping->valid());
 }
@@ -59,7 +62,8 @@ TEST(LisaMapper, MapsOnSystolicArray)
     map::SearchOptions opts;
     opts.perIiBudget = 3.0;
     opts.totalBudget = 6.0;
-    auto r = map::searchMinIi(mapper, gemm, s, opts);
+    arch::ArchContext ctx(s, "");
+    auto r = map::searchMinIi(mapper, gemm, ctx, opts);
     ASSERT_TRUE(r.success);
     EXPECT_EQ(r.ii, 1);
 }
@@ -72,7 +76,8 @@ TEST(LisaMapper, UnsupportedOpFailsFast)
     LisaMapper mapper(labelsFor(trmm));
     map::SearchOptions opts;
     opts.totalBudget = 2.0;
-    auto r = map::searchMinIi(mapper, trmm, s, opts);
+    arch::ArchContext ctx(s, "");
+    auto r = map::searchMinIi(mapper, trmm, ctx, opts);
     EXPECT_FALSE(r.success);
 }
 
@@ -97,7 +102,8 @@ TEST(LisaMapper, RespectsDependenciesInResult)
     map::SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 10.0;
-    auto r = map::searchMinIi(mapper, w.dfg, c, opts);
+    arch::ArchContext ctx(c, "");
+    auto r = map::searchMinIi(mapper, w.dfg, ctx, opts);
     ASSERT_TRUE(r.success);
     const auto &m = *r.mapping;
     for (size_t e = 0; e < w.dfg.numEdges(); ++e) {
@@ -117,7 +123,8 @@ TEST(LisaMapper, MemoryPolicyRespected)
     map::SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 10.0;
-    auto r = map::searchMinIi(mapper, w.dfg, c, opts);
+    arch::ArchContext ctx(c, "");
+    auto r = map::searchMinIi(mapper, w.dfg, ctx, opts);
     ASSERT_TRUE(r.success);
     for (size_t v = 0; v < w.dfg.numNodes(); ++v) {
         if (dfg::isMemoryOp(w.dfg.node(static_cast<dfg::NodeId>(v)).op)) {

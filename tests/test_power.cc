@@ -5,6 +5,7 @@
 #include "arch/cgra.hh"
 #include "dfg/builder.hh"
 #include "mapping/router.hh"
+#include "mapping/router_workspace.hh"
 #include "power/power_model.hh"
 
 namespace {
@@ -21,7 +22,8 @@ chainMapping(const dfg::Dfg &g, const arch::CgraArch &c, int ii,
     map::Mapping m(g, mrrg);
     m.placeNode(0, PeId{0}, AbsTime{0});
     m.placeNode(1, PeId{1}, AbsTime{consumer_time});
-    EXPECT_EQ(map::routeAll(m, map::RouterCosts{}), 0);
+    map::RouterWorkspace ws;
+    EXPECT_EQ(map::routeAll(m, map::RouterCosts{}, ws), 0);
     EXPECT_TRUE(m.valid());
     return m;
 }

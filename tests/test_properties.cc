@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/arch_context.hh"
 #include "arch/cgra.hh"
 #include "core/label_extract.hh"
 #include "core/lisa_mapper.hh"
@@ -12,6 +13,7 @@
 #include "mapping/cost.hh"
 #include "mapping/ii_search.hh"
 #include "mapping/router.hh"
+#include "mapping/router_workspace.hh"
 
 namespace {
 
@@ -101,7 +103,8 @@ TEST_P(MapperProperty, SaMappingsSatisfyAllInvariants)
         opts.perIiBudget = 0.5;
         opts.totalBudget = 3.0;
         opts.seed = GetParam() + i;
-        auto r = map::searchMinIi(sa, g, c, opts);
+        arch::ArchContext ctx(c, "");
+        auto r = map::searchMinIi(sa, g, ctx, opts);
         if (r.success)
             checkMappingInvariants(*r.mapping);
     }
@@ -122,7 +125,8 @@ TEST_P(MapperProperty, LisaMappingsSatisfyAllInvariants)
         opts.perIiBudget = 0.5;
         opts.totalBudget = 3.0;
         opts.seed = GetParam() + i;
-        auto r = map::searchMinIi(lm, g, c, opts);
+        arch::ArchContext ctx(c, "");
+        auto r = map::searchMinIi(lm, g, ctx, opts);
         if (r.success) {
             checkMappingInvariants(*r.mapping);
             // Extracted labels are finite and sane on any valid mapping.
@@ -151,7 +155,8 @@ TEST_P(MapperProperty, CostIsZeroOveruseMonotone)
     map::SearchOptions opts;
     opts.perIiBudget = 0.5;
     opts.totalBudget = 3.0;
-    auto r = map::searchMinIi(sa, g, c, opts);
+    arch::ArchContext ctx(c, "");
+    auto r = map::searchMinIi(sa, g, ctx, opts);
     if (!r.success)
         return;
     map::CostParams params;
@@ -298,8 +303,10 @@ randomMappingOp(map::Mapping &m, const dfg::Analysis &an, Rng &rng)
         if (cands.empty())
             return;
         dfg::EdgeId e = pickFrom(cands);
-        if (auto r = map::routeEdge(m, e, map::RouterCosts{}))
-            m.setRoute(e, std::move(r->path));
+        map::RouterWorkspace ws;
+        if (const map::RouteResult *r =
+                map::routeEdge(m, e, map::RouterCosts{}, ws))
+            m.setRoute(e, r->path);
         break;
     }
     case 3: { // rip up a routed edge

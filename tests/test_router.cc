@@ -1,13 +1,15 @@
 /** @file Unit tests for the MRRG router (temporal exact-length DP and
- *  spatial Dijkstra). */
+ *  spatial A* search), including the mappers' rip-up-and-reroute step. */
 
 #include <gtest/gtest.h>
 
 #include "arch/cgra.hh"
 #include "arch/systolic.hh"
 #include "dfg/builder.hh"
+#include "mappers/placement_util.hh"
 #include "mapping/router.hh"
 #include "mapping/router_workspace.hh"
+#include "router_reference.hh"
 #include "verify/verify.hh"
 
 namespace {
@@ -25,16 +27,37 @@ chain2()
     return b.build();
 }
 
+/** The mappers' rip-up step: clear every edge incident to @p v (as listed
+ *  by incidentEdges), then re-route each in order. @return number of
+ *  edges that failed to route. */
+int
+ripUpAndReroute(Mapping &m, dfg::NodeId v, RouteFn route,
+                RouterWorkspace &ws)
+{
+    const std::vector<dfg::EdgeId> affected = incidentEdges(m.dfg(), v);
+    for (dfg::EdgeId e : affected)
+        m.clearRoute(e);
+    int failures = 0;
+    for (dfg::EdgeId e : affected) {
+        if (const RouteResult *r = route(m, e, RouterCosts{}, ws))
+            m.setRoute(e, r->path);
+        else
+            ++failures;
+    }
+    return failures;
+}
+
 TEST(Router, DirectFeedNeedsNoResources)
 {
     arch::CgraArch c(arch::baselineCgra(4, 4));
     auto mrrg = std::make_shared<const arch::Mrrg>(c, 2);
     dfg::Dfg g = chain2();
     Mapping m(g, mrrg);
+    RouterWorkspace ws;
     m.placeNode(0, PeId{0}, AbsTime{0});
     m.placeNode(1, PeId{1}, AbsTime{1}); // adjacent, one cycle later
-    auto r = routeEdge(m, 0, RouterCosts{});
-    ASSERT_TRUE(r.has_value());
+    const RouteResult *r = routeEdge(m, 0, RouterCosts{}, ws);
+    ASSERT_NE(r, nullptr);
     EXPECT_TRUE(r->path.empty());
     EXPECT_EQ(r->cost, 0.0);
 }
@@ -45,11 +68,12 @@ TEST(Router, OneHopThroughRouteThrough)
     auto mrrg = std::make_shared<const arch::Mrrg>(c, 4);
     dfg::Dfg g = chain2();
     Mapping m(g, mrrg);
+    RouterWorkspace ws;
     m.placeNode(0, PeId{0}, AbsTime{0});  // (0,0)
     m.placeNode(1, PeId{2}, AbsTime{2});  // two hops east, two cycles later
     ASSERT_EQ(m.requiredLength(0), 1);
-    auto r = routeEdge(m, 0, RouterCosts{});
-    ASSERT_TRUE(r.has_value());
+    const RouteResult *r = routeEdge(m, 0, RouterCosts{}, ws);
+    ASSERT_NE(r, nullptr);
     ASSERT_EQ(r->path.size(), 1u);
     const auto &res = mrrg->resource(r->path[0]);
     EXPECT_EQ(res.time, 1);
@@ -64,11 +88,12 @@ TEST(Router, RegisterHoldWhenConsumerIsLate)
     auto mrrg = std::make_shared<const arch::Mrrg>(c, 8);
     dfg::Dfg g = chain2();
     Mapping m(g, mrrg);
+    RouterWorkspace ws;
     m.placeNode(0, PeId{0}, AbsTime{0});
     m.placeNode(1, PeId{0}, AbsTime{4}); // same PE, 4 cycles later: hold 3 cycles
     ASSERT_EQ(m.requiredLength(0), 3);
-    auto r = routeEdge(m, 0, RouterCosts{});
-    ASSERT_TRUE(r.has_value());
+    const RouteResult *r = routeEdge(m, 0, RouterCosts{}, ws);
+    ASSERT_NE(r, nullptr);
     EXPECT_EQ(r->path.size(), 3u);
     // Registers are cheaper than route-throughs, so the router holds.
     for (int res : r->path)
@@ -81,9 +106,10 @@ TEST(Router, NegativeLengthFails)
     auto mrrg = std::make_shared<const arch::Mrrg>(c, 2);
     dfg::Dfg g = chain2();
     Mapping m(g, mrrg);
+    RouterWorkspace ws;
     m.placeNode(0, PeId{0}, AbsTime{3});
     m.placeNode(1, PeId{1}, AbsTime{1}); // consumer before producer
-    EXPECT_FALSE(routeEdge(m, 0, RouterCosts{}).has_value());
+    EXPECT_EQ(routeEdge(m, 0, RouterCosts{}, ws), nullptr);
 }
 
 TEST(Router, StrictModeBlocksOccupied)
@@ -99,21 +125,22 @@ TEST(Router, StrictModeBlocksOccupied)
     dfg::Dfg g = b.build();
 
     Mapping m(g, mrrg);
+    RouterWorkspace ws;
     m.placeNode(0, PeId{0}, AbsTime{0});
     m.placeNode(2, PeId{1}, AbsTime{1}); // occupies the corridor's middle FU at layer 1
     m.placeNode(1, PeId{2}, AbsTime{2}); // 0 -> 1 must route through the middle at layer 1
 
     RouterCosts strict;
     strict.allowOveruse = false;
-    auto r = routeEdge(m, 0, strict);
+    const RouteResult *r = routeEdge(m, 0, strict, ws);
     // Only way from PE0 to PE2's feeders in exactly 1 step is FU(1,1)
     // (occupied) or REG(0,*,1) (a register of PE0, which feeds nothing
     // adjacent to PE2)... registers of PE0 cannot feed PE2, so: blocked.
-    EXPECT_FALSE(r.has_value());
+    EXPECT_EQ(r, nullptr);
 
     RouterCosts lenient;
-    auto r2 = routeEdge(m, 0, lenient);
-    ASSERT_TRUE(r2.has_value());
+    const RouteResult *r2 = routeEdge(m, 0, lenient, ws);
+    ASSERT_NE(r2, nullptr);
     EXPECT_GT(r2->cost, lenient.overusePenalty);
 }
 
@@ -129,19 +156,20 @@ TEST(Router, FanoutReusesExistingRoute)
     dfg::Dfg g = b.build();
 
     Mapping m(g, mrrg);
+    RouterWorkspace ws;
     m.placeNode(0, PeId{0}, AbsTime{0});
     m.placeNode(1, PeId{0}, AbsTime{3});
     m.placeNode(2, PeId{0}, AbsTime{3});
-    auto r1 = routeEdge(m, 0, RouterCosts{});
-    ASSERT_TRUE(r1.has_value());
+    const RouteResult *r1 = routeEdge(m, 0, RouterCosts{}, ws);
+    ASSERT_NE(r1, nullptr);
     EXPECT_EQ(r1->path.size(), 2u);
     m.setRoute(0, r1->path);
     // The second consumer reads the same held value: zero extra cost, and
     // the stored path is complete (shared hops are reference-counted).
-    auto r2 = routeEdge(m, 1, RouterCosts{});
-    ASSERT_TRUE(r2.has_value());
+    const RouteResult *r2 = routeEdge(m, 1, RouterCosts{}, ws);
+    ASSERT_NE(r2, nullptr);
     EXPECT_EQ(r2->cost, 0.0);
-    EXPECT_EQ(r2->path, r1->path);
+    EXPECT_EQ(r2->path, m.route(0));
     // Ripping up one branch keeps the shared hops alive for the sibling.
     m.setRoute(1, r2->path);
     m.clearRoute(0);
@@ -151,14 +179,13 @@ TEST(Router, FanoutReusesExistingRoute)
 
 /** Temporal multi-fanout reroute: the branch taken off an existing route
  *  must come back as a complete producer-rooted path (prependSharedPrefix),
- *  in both the optimized and the LISA_ROUTER_REFERENCE kernels. */
+ *  in both the optimized and the reference kernels. */
 void
-expectFanoutBranchCompleteTemporal(bool reference_mode)
+expectFanoutBranchCompleteTemporal(RouteFn route)
 {
     arch::CgraArch c(arch::baselineCgra(4, 4));
     auto mrrg = std::make_shared<const arch::Mrrg>(c, 8);
     RouterWorkspace ws;
-    ws.referenceMode = reference_mode;
 
     dfg::DfgBuilder b("fan");
     auto x = b.load("x");
@@ -171,7 +198,7 @@ expectFanoutBranchCompleteTemporal(bool reference_mode)
     m.placeNode(1, PeId{0}, AbsTime{3}); // held in PE0's registers
     m.placeNode(2, PeId{2}, AbsTime{3}); // branches off the hold to go east
     for (dfg::EdgeId e = 0; e < 2; ++e) {
-        const RouteResult *r = routeEdge(m, e, RouterCosts{}, ws);
+        const RouteResult *r = route(m, e, RouterCosts{}, ws);
         ASSERT_NE(r, nullptr) << "edge " << e;
         m.setRoute(e, r->path);
     }
@@ -183,7 +210,7 @@ expectFanoutBranchCompleteTemporal(bool reference_mode)
 
     // Reroute the fanout consumer: the fresh branch must again be a
     // complete path, and the whole mapping must survive verification.
-    EXPECT_EQ(rerouteIncident(m, 2, RouterCosts{}, ws), 0);
+    EXPECT_EQ(ripUpAndReroute(m, 2, route, ws), 0);
     ASSERT_EQ(m.route(1).size(), 2u);
     EXPECT_EQ(m.route(1)[0], m.route(0)[0]);
     verify::VerifyReport rep =
@@ -193,23 +220,22 @@ expectFanoutBranchCompleteTemporal(bool reference_mode)
 
 TEST(Router, FanoutBranchPathCompleteTemporal)
 {
-    expectFanoutBranchCompleteTemporal(false);
+    expectFanoutBranchCompleteTemporal(&routeEdge);
 }
 
 TEST(Router, FanoutBranchPathCompleteTemporalReference)
 {
-    expectFanoutBranchCompleteTemporal(true);
+    expectFanoutBranchCompleteTemporal(&routeEdgeReference);
 }
 
 /** Spatial analogue: the shorter fanout branch is a strict prefix of the
  *  longer forwarding chain and still producer-rooted after a reroute. */
 void
-expectFanoutBranchCompleteSpatial(bool reference_mode)
+expectFanoutBranchCompleteSpatial(RouteFn route)
 {
     arch::SystolicArch s(3, 5);
     auto mrrg = std::make_shared<const arch::Mrrg>(s, 1);
     RouterWorkspace ws;
-    ws.referenceMode = reference_mode;
 
     dfg::DfgBuilder b("fan");
     auto x = b.load("x");
@@ -222,7 +248,7 @@ expectFanoutBranchCompleteSpatial(bool reference_mode)
     m.placeNode(1, PeId{3}, AbsTime{0}); // (0,3): two forwarding hops
     m.placeNode(2, PeId{6}, AbsTime{0}); // (1,1): fed by the first hop (0,1)
     for (dfg::EdgeId e = 0; e < 2; ++e) {
-        const RouteResult *r = routeEdge(m, e, RouterCosts{}, ws);
+        const RouteResult *r = route(m, e, RouterCosts{}, ws);
         ASSERT_NE(r, nullptr) << "edge " << e;
         m.setRoute(e, r->path);
     }
@@ -230,7 +256,7 @@ expectFanoutBranchCompleteSpatial(bool reference_mode)
     ASSERT_EQ(m.route(1).size(), 1u);
     EXPECT_EQ(m.route(1)[0], m.route(0)[0]);
 
-    EXPECT_EQ(rerouteIncident(m, 2, RouterCosts{}, ws), 0);
+    EXPECT_EQ(ripUpAndReroute(m, 2, route, ws), 0);
     ASSERT_EQ(m.route(1).size(), 1u);
     EXPECT_EQ(m.route(1)[0], m.route(0)[0]);
     verify::VerifyReport rep =
@@ -240,12 +266,12 @@ expectFanoutBranchCompleteSpatial(bool reference_mode)
 
 TEST(Router, FanoutBranchPathCompleteSpatial)
 {
-    expectFanoutBranchCompleteSpatial(false);
+    expectFanoutBranchCompleteSpatial(&routeEdge);
 }
 
 TEST(Router, FanoutBranchPathCompleteSpatialReference)
 {
-    expectFanoutBranchCompleteSpatial(true);
+    expectFanoutBranchCompleteSpatial(&routeEdgeReference);
 }
 
 TEST(Router, SelfRecurrenceAtIiOne)
@@ -258,11 +284,12 @@ TEST(Router, SelfRecurrenceAtIiOne)
     b.recurrence(acc, acc);
     dfg::Dfg g = b.build();
     Mapping m(g, mrrg);
+    RouterWorkspace ws;
     m.placeNode(0, PeId{0}, AbsTime{0});
     m.placeNode(1, PeId{1}, AbsTime{1});
     // The self edge (distance 1, II 1) has length 0: own output read back.
-    auto r = routeEdge(m, 1, RouterCosts{});
-    ASSERT_TRUE(r.has_value());
+    const RouteResult *r = routeEdge(m, 1, RouterCosts{}, ws);
+    ASSERT_NE(r, nullptr);
     EXPECT_TRUE(r->path.empty());
 }
 
@@ -272,11 +299,12 @@ TEST(Router, SpatialDijkstraFindsForwardingChain)
     auto mrrg = std::make_shared<const arch::Mrrg>(s, 1);
     dfg::Dfg g = chain2();
     Mapping m(g, mrrg);
+    RouterWorkspace ws;
     // Load in column 0, consumer in column 3: two forwarding PEs needed.
     m.placeNode(0, PeId{0}, AbsTime{0});      // (0,0)
     m.placeNode(1, PeId{3}, AbsTime{0});      // (0,3)
-    auto r = routeEdge(m, 0, RouterCosts{});
-    ASSERT_TRUE(r.has_value());
+    const RouteResult *r = routeEdge(m, 0, RouterCosts{}, ws);
+    ASSERT_NE(r, nullptr);
     EXPECT_EQ(r->path.size(), 2u);
 }
 
@@ -286,10 +314,11 @@ TEST(Router, SpatialAdjacentDirectFeed)
     auto mrrg = std::make_shared<const arch::Mrrg>(s, 1);
     dfg::Dfg g = chain2();
     Mapping m(g, mrrg);
+    RouterWorkspace ws;
     m.placeNode(0, PeId{0}, AbsTime{0});
     m.placeNode(1, PeId{1}, AbsTime{0}); // east neighbour
-    auto r = routeEdge(m, 0, RouterCosts{});
-    ASSERT_TRUE(r.has_value());
+    const RouteResult *r = routeEdge(m, 0, RouterCosts{}, ws);
+    ASSERT_NE(r, nullptr);
     EXPECT_TRUE(r->path.empty());
 }
 
@@ -299,69 +328,84 @@ TEST(RouteAll, ReportsFailures)
     auto mrrg = std::make_shared<const arch::Mrrg>(c, 2);
     dfg::Dfg g = chain2();
     Mapping m(g, mrrg);
+    RouterWorkspace ws;
     m.placeNode(0, PeId{0}, AbsTime{3});
     m.placeNode(1, PeId{1}, AbsTime{1}); // infeasible order
-    EXPECT_EQ(routeAll(m, RouterCosts{}), 1);
+    EXPECT_EQ(routeAll(m, RouterCosts{}, ws), 1);
     EXPECT_EQ(m.numRouted(), 0u);
 }
 
-TEST(RerouteIncident, RipUpAndReroute)
+TEST(IncidentEdges, RipUpAndReroute)
 {
     arch::CgraArch c(arch::baselineCgra(4, 4));
     auto mrrg = std::make_shared<const arch::Mrrg>(c, 4);
     dfg::Dfg g = chain2();
     Mapping m(g, mrrg);
+    RouterWorkspace ws;
     m.placeNode(0, PeId{0}, AbsTime{0});
     m.placeNode(1, PeId{1}, AbsTime{1});
-    EXPECT_EQ(routeAll(m, RouterCosts{}), 0);
-    EXPECT_EQ(rerouteIncident(m, 1, RouterCosts{}), 0);
+    EXPECT_EQ(routeAll(m, RouterCosts{}, ws), 0);
+    EXPECT_EQ(ripUpAndReroute(m, 1, &routeEdge, ws), 0);
     EXPECT_TRUE(m.isRouted(0));
 }
 
-TEST(RerouteIncident, SelfLoopRoutedOnceSpatial)
+/** Accumulator on node 1: load -> add (edge 0) plus the add's feedback
+ *  self-loop (edge 1). */
+dfg::Dfg
+selfLoopKernel()
 {
-    // Regression: a self-loop appears in both inEdges and outEdges of its
-    // node. rerouteIncident used to build the rip-up set from the raw
-    // concatenation, list the self-loop twice, and panic in the second
-    // routeEdge ("already routed") right after the first pass installed
-    // its empty in-PE route.
-    arch::SystolicArch s(3, 5);
-    auto mrrg = std::make_shared<const arch::Mrrg>(s, 1);
     dfg::DfgBuilder b("mac");
     auto x = b.load("x");
     auto acc = b.op(OpCode::Add, {x});
     b.recurrence(acc, acc); // edge 1: accumulator feedback self-loop
-    dfg::Dfg g = b.build();
+    return b.build();
+}
+
+/** A self-loop appears in both inEdges and outEdges of its node, so a
+ *  rip-up set built from their raw concatenation lists it twice, and the
+ *  second routeEdge panics ("already routed") right after the first
+ *  installed its empty route. incidentEdges must list it once, and the
+ *  mappers' rip-up plus re-route must leave a verified mapping. */
+void
+expectSelfLoopRoutedOnce(const dfg::Dfg &g, Mapping &m)
+{
+    const std::vector<dfg::EdgeId> affected = incidentEdges(g, 1);
+    EXPECT_EQ(affected, (std::vector<dfg::EdgeId>{0, 1}));
+
+    RouterWorkspace ws;
+    ASSERT_EQ(routeAll(m, RouterCosts{}, ws), 0);
+    EXPECT_EQ(ripUpAndReroute(m, 1, &routeEdge, ws), 0);
+    EXPECT_TRUE(m.isRouted(0));
+    // The feedback reads the add's own output: routed, no resources.
+    EXPECT_TRUE(m.isRouted(1));
+    EXPECT_TRUE(m.route(1).empty());
+    verify::VerifyReport rep =
+        verify::verifyMapping(g, m.mrrg(), m, verify::VerifyOptions{});
+    EXPECT_TRUE(rep.ok()) << rep.toString();
+}
+
+TEST(IncidentEdges, SelfLoopRoutedOnceSpatial)
+{
+    // On a spatial array the feedback stays inside the PE (a MAC unit).
+    arch::SystolicArch s(3, 5);
+    auto mrrg = std::make_shared<const arch::Mrrg>(s, 1);
+    dfg::Dfg g = selfLoopKernel();
     Mapping m(g, mrrg);
     m.placeNode(0, PeId{0}, AbsTime{0});
     m.placeNode(1, PeId{1}, AbsTime{0});
-    ASSERT_EQ(routeAll(m, RouterCosts{}), 0);
-    EXPECT_EQ(rerouteIncident(m, 1, RouterCosts{}), 0);
-    EXPECT_TRUE(m.isRouted(0));
-    // The feedback stays inside the PE: routed, but with no resources.
-    EXPECT_TRUE(m.isRouted(1));
-    EXPECT_TRUE(m.route(1).empty());
+    expectSelfLoopRoutedOnce(g, m);
 }
 
-TEST(RerouteIncident, SelfLoopRoutedOnceTemporal)
+TEST(IncidentEdges, SelfLoopRoutedOnceTemporal)
 {
-    // Same regression on a temporal CGRA: the II-1 self-recurrence routes
-    // to an empty path and must still be listed only once.
+    // On a temporal CGRA the II-1 self-recurrence has length 0.
     arch::CgraArch c(arch::baselineCgra(4, 4));
     auto mrrg = std::make_shared<const arch::Mrrg>(c, 1);
-    dfg::DfgBuilder b("acc");
-    auto x = b.load("x");
-    auto acc = b.op(OpCode::Add, {x});
-    b.recurrence(acc, acc);
-    dfg::Dfg g = b.build();
+    dfg::Dfg g = selfLoopKernel();
     Mapping m(g, mrrg);
     m.placeNode(0, PeId{0}, AbsTime{0});
     m.placeNode(1, PeId{1}, AbsTime{1});
-    ASSERT_EQ(routeAll(m, RouterCosts{}), 0);
-    EXPECT_EQ(rerouteIncident(m, 1, RouterCosts{}), 0);
-    EXPECT_TRUE(m.isRouted(0));
-    EXPECT_TRUE(m.isRouted(1));
-    EXPECT_TRUE(m.route(1).empty());
+    expectSelfLoopRoutedOnce(g, m);
 }
 
 } // namespace

@@ -1,9 +1,10 @@
 /** @file Property test: the goal-directed router (A* + distance-oracle
- *  pruning) is cost-equivalent to the pre-oracle reference router kept
- *  behind LISA_ROUTER_REFERENCE=1.
+ *  pruning) is cost-equivalent to the pre-oracle reference router
+ *  (routeEdgeReference, tests/router_reference.cc).
  *
  *  Protocol: two identically-placed mappings are routed edge-by-edge, one
- *  with a reference-mode workspace and one with the optimized workspace.
+ *  through routeEdgeReference and one through routeEdge, each with its
+ *  own workspace.
  *  Every edge must agree on success/failure and route cost. Temporal
  *  routes must match hop-for-hop (the DP prune only removes cells that
  *  can never reach the destination, so surviving cells keep their exact
@@ -22,6 +23,7 @@
 #include "dfg/generator.hh"
 #include "mapping/router.hh"
 #include "mapping/router_workspace.hh"
+#include "router_reference.hh"
 #include "support/random.hh"
 
 namespace {
@@ -47,7 +49,8 @@ placeBoth(Mapping &a, Mapping &b, Rng &rng)
     }
 }
 
-/** Route every edge of @p trials random DFGs in both modes and compare. */
+/** Route every edge of @p trials random DFGs through both routers and
+ *  compare. */
 void
 expectOptimizedMatchesReference(std::shared_ptr<const arch::Mrrg> mrrg,
                                 const RouterCosts &costs, uint64_t seed,
@@ -67,7 +70,8 @@ expectOptimizedMatchesReference(std::shared_ptr<const arch::Mrrg> mrrg,
         placeBoth(mRef, mOpt, gen);
         for (dfg::EdgeId e = 0; e < static_cast<dfg::EdgeId>(g.numEdges());
              ++e) {
-            const RouteResult *ref = routeEdge(mRef, e, costs, wsRef);
+            const RouteResult *ref =
+                routeEdgeReference(mRef, e, costs, wsRef);
             const RouteResult *opt = routeEdge(mOpt, e, costs, wsOpt);
             ASSERT_EQ(ref != nullptr, opt != nullptr)
                 << "success disagreement: trial " << trial << " edge " << e
@@ -104,9 +108,7 @@ TEST_P(RouterEquivalence, TemporalCostAndPathIdentical)
     // One workspace pair reused across every II: exercises the oracle's
     // uid-based invalidation when the bound MRRG changes.
     RouterWorkspace wsRef;
-    wsRef.referenceMode = true;
     RouterWorkspace wsOpt;
-    wsOpt.referenceMode = false;
 
     arch::CgraArch cgra(arch::baselineCgra(4, 4));
     for (int ii = 2; ii <= 4; ++ii) {
@@ -128,9 +130,7 @@ TEST_P(RouterEquivalence, TemporalCostAndPathIdentical)
 TEST_P(RouterEquivalence, SpatialCostIdentical)
 {
     RouterWorkspace wsRef;
-    wsRef.referenceMode = true;
     RouterWorkspace wsOpt;
-    wsOpt.referenceMode = false;
 
     arch::SystolicArch sys(3, 5);
     auto mrrg = std::make_shared<const arch::Mrrg>(sys, 1);

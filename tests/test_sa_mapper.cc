@@ -4,6 +4,7 @@
 
 #include <atomic>
 
+#include "arch/arch_context.hh"
 #include "arch/cgra.hh"
 #include "dfg/builder.hh"
 #include "mappers/placement_util.hh"
@@ -135,8 +136,10 @@ TEST(SaMapperParallel, SameSeedAndThreadsReproducesSearchResult)
     opts.totalBudget = 8.0;
     opts.seed = 9;
     opts.threads = 2;
-    auto r1 = searchMinIi(sa, w.dfg, c, opts);
-    auto r2 = searchMinIi(sa, w.dfg, c, opts);
+    arch::ArchContext ctx(c, "");
+    auto r1 = searchMinIi(sa, w.dfg, ctx, opts);
+    arch::ArchContext ctx2(c, "");
+    auto r2 = searchMinIi(sa, w.dfg, ctx2, opts);
     EXPECT_EQ(r1.success, r2.success);
     if (r1.success && r2.success) {
         EXPECT_EQ(r1.ii, r2.ii);
@@ -157,7 +160,8 @@ TEST(SaMapperParallel, AnyThreadCountYieldsValidMappings)
         opts.totalBudget = 8.0;
         opts.seed = 5;
         opts.threads = threads;
-        auto r = searchMinIi(sa, w.dfg, c, opts);
+        arch::ArchContext ctx(c, "");
+        auto r = searchMinIi(sa, w.dfg, ctx, opts);
         ASSERT_TRUE(r.success) << "threads=" << threads;
         ASSERT_TRUE(r.mapping.has_value());
         EXPECT_TRUE(r.mapping->valid()) << "threads=" << threads;
@@ -177,7 +181,8 @@ TEST(SaMapperParallel, ExternalStopAbortsSearch)
     opts.totalBudget = 20.0;
     opts.threads = 2;
     opts.stop = &stop;
-    auto r = searchMinIi(sa, w.dfg, c, opts);
+    arch::ArchContext ctx(c, "");
+    auto r = searchMinIi(sa, w.dfg, ctx, opts);
     EXPECT_FALSE(r.success);
 }
 

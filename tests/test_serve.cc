@@ -4,12 +4,14 @@
  * request flow (miss -> verified hit, permutation variants, verify-on-hit
  * eviction, restart warm-start), the coalescing guarantee (N identical
  * concurrent misses -> exactly one search), and the ServeServer protocol
- * dispatch (socket-free via handleLine plus one real socket round trip).
+ * dispatch (socket-free via handleLine plus real socket round trips,
+ * including the request line cap).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -493,24 +496,35 @@ openFdCount()
     return n;
 }
 
-/** Connect to @p path and complete one ping round trip, so the server
- *  has provably accepted and served the connection. @return the fd. */
+/** Open a client connection to the server socket at @p path.
+ *  @return the fd, or -1. */
 int
-pingConnection(const std::string &path)
+connectTo(const std::string &path)
 {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0)
-        return -1;
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     if (path.size() >= sizeof addr.sun_path)
         return -1;
     std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
     if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                   sizeof addr) != 0) {
         ::close(fd);
         return -1;
     }
+    return fd;
+}
+
+/** Connect to @p path and complete one ping round trip, so the server
+ *  has provably accepted and served the connection. @return the fd. */
+int
+pingConnection(const std::string &path)
+{
+    const int fd = connectTo(path);
+    if (fd < 0)
+        return -1;
     const char *ping = "{\"op\":\"ping\"}\n";
     if (::send(fd, ping, std::strlen(ping), MSG_NOSIGNAL) !=
         static_cast<ssize_t>(std::strlen(ping))) {
@@ -560,6 +574,66 @@ TEST(ServeServer, ReleasesConnectionFdsOnClientDisconnect)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     EXPECT_LE(openFdCount(), baseline);
 
+    server.stop();
+}
+
+// A client that never sends '\n' must not grow the daemon's line buffer
+// without bound: a line over the cap gets a protocol error and a closed
+// connection, and the daemon keeps serving other clients.
+TEST(ServeServer, OverlongLineGetsProtocolErrorAndClose)
+{
+    ServeConfig cfg;
+    cfg.cacheFile.clear();
+    MappingService service(cfg);
+    const std::string path = tempPath("serve_overlong.sock");
+    ServeServer server(service, path);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    const int fd = connectTo(path);
+    ASSERT_GE(fd, 0);
+    // An uncapped server never answers: bound both directions so the test
+    // fails instead of hanging.
+    const timeval timeout{10, 0};
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof timeout),
+              0);
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout,
+                           sizeof timeout),
+              0);
+
+    const std::string chunk(size_t{1} << 16, 'x');
+    size_t sent = 0;
+    while (sent <= 2 * ServeServer::kMaxLineBytes) {
+        const ssize_t w =
+            ::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+        if (w <= 0)
+            break; // the server answered and closed
+        sent += static_cast<size_t>(w);
+    }
+    EXPECT_GT(sent, ServeServer::kMaxLineBytes);
+
+    std::string got;
+    char buf[256];
+    while (got.find('\n') == std::string::npos) {
+        const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+        if (n <= 0)
+            break;
+        got.append(buf, static_cast<size_t>(n));
+    }
+    EXPECT_EQ(got, "{\"ok\":false,\"error\":\"request line exceeds " +
+                       std::to_string(ServeServer::kMaxLineBytes) +
+                       " bytes\"}\n");
+    // ...and then the connection is closed (EOF or reset, not a timeout).
+    errno = 0;
+    EXPECT_LE(::recv(fd, buf, sizeof buf, 0), 0);
+    EXPECT_NE(errno, EAGAIN);
+    ::close(fd);
+
+    const int other = pingConnection(path);
+    EXPECT_GE(other, 0);
+    if (other >= 0)
+        ::close(other);
     server.stop();
 }
 

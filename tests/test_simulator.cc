@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/arch_context.hh"
 #include "arch/cgra.hh"
 #include "arch/systolic.hh"
 #include "dfg/builder.hh"
 #include "mappers/sa_mapper.hh"
 #include "mapping/ii_search.hh"
 #include "mapping/router.hh"
+#include "mapping/router_workspace.hh"
 #include "sim/simulator.hh"
 #include "workloads/registry.hh"
 
@@ -65,7 +67,8 @@ TEST(Simulator, HandMappedChainComputesAndDelivers)
     mapping.placeNode(1, PeId{1}, AbsTime{0});
     mapping.placeNode(2, PeId{1}, AbsTime{1});
     mapping.placeNode(3, PeId{2}, AbsTime{2});
-    ASSERT_EQ(map::routeAll(mapping, map::RouterCosts{}), 0);
+    map::RouterWorkspace ws;
+    ASSERT_EQ(map::routeAll(mapping, map::RouterCosts{}, ws), 0);
     ASSERT_TRUE(mapping.valid());
 
     auto result = sim::simulate(mapping, 3);
@@ -89,7 +92,8 @@ TEST(Simulator, SaMappedKernelsMatchReference)
         map::SearchOptions opts;
         opts.perIiBudget = 1.0;
         opts.totalBudget = 6.0;
-        auto r = map::searchMinIi(sa, w.dfg, c, opts);
+        arch::ArchContext ctx(c, "");
+        auto r = map::searchMinIi(sa, w.dfg, ctx, opts);
         ASSERT_TRUE(r.success) << name;
         std::string error;
         EXPECT_TRUE(sim::verifyMapping(*r.mapping, 5, &error))
@@ -106,7 +110,8 @@ TEST(Simulator, SystolicStreamingKernelMatchesReference)
     map::SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 4.0;
-    auto r = map::searchMinIi(sa, gemm, s, opts);
+    arch::ArchContext ctx(s, "");
+    auto r = map::searchMinIi(sa, gemm, ctx, opts);
     ASSERT_TRUE(r.success);
     auto result = sim::simulate(*r.mapping, 4);
     ASSERT_TRUE(result.ok) << result.error;
@@ -160,7 +165,8 @@ TEST(Simulator, RecurrentKernelValuesAccumulate)
     map::SearchOptions opts;
     opts.perIiBudget = 1.0;
     opts.totalBudget = 6.0;
-    auto r = map::searchMinIi(sa, w.dfg, c, opts);
+    arch::ArchContext ctx(c, "");
+    auto r = map::searchMinIi(sa, w.dfg, ctx, opts);
     ASSERT_TRUE(r.success);
     auto one = sim::simulate(*r.mapping, 1);
     auto four = sim::simulate(*r.mapping, 4);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/arch_context.hh"
 #include "arch/cgra.hh"
 #include "arch/systolic.hh"
 #include "core/training_data.hh"
@@ -30,7 +31,8 @@ TEST(RefineLabels, ProducesConsistentLabels)
     TrainingDataConfig cfg = quickConfig();
     Rng rng(3);
     dfg::Dfg g = dfg::generateRandomDfg(cfg.generator, rng);
-    auto refined = refineLabels(g, c, cfg, rng);
+    arch::ArchContext ctx(c, "");
+    auto refined = refineLabels(g, ctx, cfg, rng);
     ASSERT_TRUE(refined.has_value());
     dfg::Analysis an(g);
     EXPECT_TRUE(refined->labels.matches(g, an));
@@ -72,7 +74,8 @@ TEST(GenerateTrainingSet, ProducesAlignedSamples)
     arch::CgraArch c(arch::baselineCgra(4, 4));
     TrainingDataConfig cfg = quickConfig();
     Rng rng(5);
-    auto samples = generateTrainingSet(c, cfg, rng);
+    arch::ArchContext ctx(c, "");
+    auto samples = generateTrainingSet(ctx, cfg, rng);
     ASSERT_FALSE(samples.empty());
     for (const auto &s : samples) {
         EXPECT_EQ(s.attrs.nodeAttrs.rows(),
@@ -90,7 +93,8 @@ TEST(GenerateTrainingSet, SpatialArchRestrictsGenerator)
     TrainingDataConfig cfg = quickConfig();
     cfg.numDfgs = 4;
     Rng rng(7);
-    auto samples = generateTrainingSet(s, cfg, rng);
+    arch::ArchContext ctx(s, "");
+    auto samples = generateTrainingSet(ctx, cfg, rng);
     for (const auto &sample : samples)
         EXPECT_LE(sample.scheduleOrder.size(), 25u);
 }

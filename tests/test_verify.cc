@@ -7,6 +7,7 @@
 
 #include <sstream>
 
+#include "arch/arch_context.hh"
 #include "arch/cgra.hh"
 #include "core/labels.hh"
 #include "core/lisa_mapper.hh"
@@ -332,7 +333,8 @@ TEST(VerifyMappers, SaMapperOutputVerifiesClean)
     SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 10.0;
-    auto r = searchMinIi(mapper, w.dfg, c, opts);
+    arch::ArchContext ctx(c, "");
+    auto r = searchMinIi(mapper, w.dfg, ctx, opts);
     ASSERT_TRUE(r.success);
     EXPECT_TRUE(r.verified);
     EXPECT_GE(r.verifySeconds, 0.0);
@@ -348,7 +350,8 @@ TEST(VerifyMappers, LisaMapperOutputVerifiesClean)
     SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 10.0;
-    auto r = searchMinIi(mapper, w.dfg, c, opts);
+    arch::ArchContext ctx(c, "");
+    auto r = searchMinIi(mapper, w.dfg, ctx, opts);
     ASSERT_TRUE(r.success);
     EXPECT_TRUE(r.verified);
     EXPECT_TRUE(verifyMapping(w.dfg, r.mapping->mrrg(), *r.mapping).ok());
@@ -366,7 +369,8 @@ TEST(VerifyMappers, ExactMapperOutputVerifiesClean)
     SearchOptions opts;
     opts.perIiBudget = 5.0;
     opts.totalBudget = 10.0;
-    auto r = searchMinIi(mapper, graph, c, opts);
+    arch::ArchContext ctx(c, "");
+    auto r = searchMinIi(mapper, graph, ctx, opts);
     ASSERT_TRUE(r.success);
     EXPECT_TRUE(r.verified);
     EXPECT_TRUE(verifyMapping(graph, r.mapping->mrrg(), *r.mapping).ok());
@@ -382,7 +386,8 @@ TEST(VerifyIo, RoundTripPreservesMappingAndVerifiesClean)
     SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 10.0;
-    auto r = searchMinIi(mapper, w.dfg, c, opts);
+    arch::ArchContext ctx(c, "");
+    auto r = searchMinIi(mapper, w.dfg, ctx, opts);
     ASSERT_TRUE(r.success);
 
     std::string text = mappingToText(*r.mapping);
@@ -409,7 +414,8 @@ TEST(VerifyIo, CorruptedTextSurvivesLoadAndFailsVerification)
     SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 10.0;
-    auto r = searchMinIi(mapper, w.dfg, c, opts);
+    arch::ArchContext ctx(c, "");
+    auto r = searchMinIi(mapper, w.dfg, ctx, opts);
     ASSERT_TRUE(r.success);
 
     // Retime node 0 to an out-of-window slot: the loader replays it (it

@@ -5,6 +5,7 @@
 #include "arch/cgra.hh"
 #include "dfg/builder.hh"
 #include "mapping/router.hh"
+#include "mapping/router_workspace.hh"
 #include "sim/visualize.hh"
 
 namespace {
@@ -26,7 +27,8 @@ tinyMapping(const arch::CgraArch &accel)
     map::Mapping m(graph, mrrg);
     m.placeNode(0, PeId{0}, AbsTime{0});
     m.placeNode(1, PeId{0}, AbsTime{3}); // register holds for two cycles
-    EXPECT_EQ(map::routeAll(m, map::RouterCosts{}), 0);
+    map::RouterWorkspace ws;
+    EXPECT_EQ(map::routeAll(m, map::RouterCosts{}, ws), 0);
     EXPECT_TRUE(m.valid());
     return m;
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Zero-allocation lint for the router hot path.
+# Zero-allocation and no-knob lint for the router hot path.
 #
 # The inner routing loops (routeEdge and the structures it touches) must
 # not allocate: RouterWorkspace exists precisely so per-edge routing
@@ -10,7 +10,10 @@
 #   2. a container-growth call (push_back / emplace_back / insert /
 #      resize / assign / reserve on a member vector) appears on a line
 #      that is not annotated with `lint:allow-growth` on the same or the
-#      preceding line.
+#      preceding line, or
+#   3. an environment read (getenv) appears in a hot-path file. A
+#      per-workspace or per-call knob is a second route path; process-
+#      wide knobs resolve once, in cold code.
 #
 # The allow marker is reserved for amortized workspace buffers whose
 # growth is tracked by RouterWorkspace::growthEvents and settles after
@@ -18,10 +21,10 @@
 # fresh vector — is a hot-loop allocation and must be rewritten against
 # the workspace.
 #
-# Some hot-listed files also carry genuinely cold code: model loading in
-# routability_filter.cc, the per-race setup in portfolio.hh. Wrap those
-# in `lint:cold-begin(reason)` / `lint:cold-end` marker comments and both
-# rules skip the region; unbalanced markers fail the lint. The markers
+# Some hot-listed files also carry genuinely cold code: model loading and
+# the one-time LISA_ROUTE_FILTER resolve in routability_filter.cc, the
+# per-race setup in portfolio.hh. Wrap those in `lint:cold-begin(reason)`
+# / `lint:cold-end` marker comments and every rule skips the region; unbalanced markers fail the lint. The markers
 # are deliberately loud in review — a region creeping into a hot loop
 # has to move out of the markers first.
 #
@@ -48,6 +51,7 @@ HOT_FILES=(
 
 ALLOC_RE='(^|[^[:alnum:]_."])new[[:space:]]|std::make_unique|std::make_shared|[^[:alnum:]_]malloc[[:space:]]*\(|[^[:alnum:]_]calloc[[:space:]]*\(|[^[:alnum:]_]realloc[[:space:]]*\('
 GROWTH_RE='\.(push_back|emplace_back|insert|resize|assign|reserve)[[:space:]]*\('
+ENV_RE='(^|[^[:alnum:]_])getenv[[:space:]]*\('
 ALLOW_MARK='lint:allow-growth'
 COLD_BEGIN='lint:cold-begin'
 COLD_END='lint:cold-end'
@@ -122,6 +126,14 @@ for f in "${HOT_FILES[@]}"; do
         echo "     wrap genuinely cold code in $COLD_BEGIN/$COLD_END)" >&2
         fail=1
     done < <(grep -nE "$GROWTH_RE" <<< "$filtered")
+
+    # Rule 3: no environment reads (outside cold regions).
+    if grep -nE "$ENV_RE" <<< "$filtered"; then
+        echo "lint.sh: FAIL: environment read in router hot path: $f" >&2
+        echo "    (resolve process-wide knobs once, inside a" >&2
+        echo "     $COLD_BEGIN/$COLD_END region)" >&2
+        fail=1
+    fi
 done
 
 if [ "$fail" -ne 0 ]; then
