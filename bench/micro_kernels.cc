@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the hot primitives: DFG analysis,
  * attribute generation, MRRG construction, single-edge routing, router
- * churn (the SA/LISA inner loop), and one GNN forward pass.
+ * churn (the SA/LISA inner loop), the router's per-call clock pair, and
+ * one GNN forward pass.
  *
  * Compiled twice: as `micro_kernels` (everything) and as `router_bench`
  * (LISA_ROUTER_BENCH_ONLY defined — just the router-churn benchmarks,
@@ -21,6 +22,7 @@
 #include "mapping/router.hh"
 #include "mapping/router_workspace.hh"
 #include "router_reference.hh"
+#include "support/stopwatch.hh"
 #include "workloads/registry.hh"
 
 namespace {
@@ -191,6 +193,21 @@ BM_RouteOneEdge(benchmark::State &state)
     }
 }
 BENCHMARK(BM_RouteOneEdge)->Arg(2)->Arg(8);
+
+/** The two steady_clock reads every routeEdge call pays for its
+ *  routeSeconds counter: a Stopwatch constructed, then read once. Divide
+ *  by a route call's time (BM_RouterChurnTemporal's routeCalls/s, or
+ *  route_cpu_s / route_calls of a traced perfbench run) for the share of
+ *  routing time spent timing itself. */
+void
+BM_StopwatchPair(benchmark::State &state)
+{
+    for (auto _ : state) {
+        Stopwatch timer;
+        benchmark::DoNotOptimize(timer.seconds());
+    }
+}
+BENCHMARK(BM_StopwatchPair);
 
 void
 BM_GnnForward(benchmark::State &state)

@@ -82,6 +82,13 @@ Mrrg::Mrrg(const Accelerator &accel, int ii)
     }
     moveOff[static_cast<size_t>(total)] = static_cast<int>(moveDst.size());
 
+    // In-layer move CSR: layer 0's rows with every target reduced to its
+    // index within the next layer (identical for every layer).
+    layerMoveOff.assign(moveOff.begin(), moveOff.begin() + perLayer + 1);
+    layerMoveDst.reserve(static_cast<size_t>(layerMoveOff.back()));
+    for (int i = 0; i < layerMoveOff.back(); ++i)
+        layerMoveDst.push_back(moveDst[static_cast<size_t>(i)] % perLayer);
+
     predOff.assign(static_cast<size_t>(total) + 1, 0);
     for (int dst : moveDst)
         ++predOff[static_cast<size_t>(dst) + 1];

@@ -19,7 +19,8 @@
  *
  * Adjacency is stored in CSR (compressed sparse row) form: one flat
  * offsets array plus one flat targets array per relation (forward moves,
- * reverse moves, feeders), exposed as std::span views. The router's
+ * reverse moves, feeders, and the layer-invariant in-layer moves the
+ * temporal DP walks), exposed as std::span views. The router's
  * relaxation loops walk these spans, so a route search touches two
  * contiguous arrays instead of chasing a heap-allocated vector per
  * resource. The reverse-move CSR additionally powers the static-distance
@@ -112,6 +113,19 @@ class Mrrg
         return csrRow(moveOff, moveDst, id);
     }
 
+    /**
+     * In-layer indices a value resident at in-layer index @p idx can move
+     * to in one cycle, in moveTargets order: moveTargets(layer *
+     * perLayerCount() + idx) reduced to indices within the next layer.
+     * A move list depends only on (pe, layer) and ids are layer-major, so
+     * one table of perLayerCount() rows serves every layer; the temporal
+     * DP walks it with no per-edge division.
+     */
+    std::span<const int> layerMoves(int idx) const
+    {
+        return csrRow(layerMoveOff, layerMoveDst, idx);
+    }
+
     /** Resource ids that can move a value onto @p id in one cycle
      *  (reverse adjacency, for goal-directed backwards searches). */
     std::span<const int> movePreds(int id) const
@@ -155,6 +169,9 @@ class Mrrg
     /** Reverse move CSR: predSrc[predOff[id] .. predOff[id+1]). */
     std::vector<int> predOff;
     std::vector<int> predSrc;
+    /** In-layer move CSR, row index = index within a layer. */
+    std::vector<int> layerMoveOff;
+    std::vector<int> layerMoveDst;
     /** Feeder CSR, row index = layer * numPes + pe. */
     std::vector<int> feederOff;
     std::vector<int> feederIds;

@@ -271,6 +271,7 @@ LisaMapper::attemptStream(const map::MapContext &ctx)
         return finish(std::move(mapping));
     }
     long since_improvement = 0;
+    std::vector<dfg::EdgeId> affected; // rip-up set, refilled per move
 
     Stopwatch move_timer;
     while (timer.seconds() < ctx.timeBudget && !ctx.cancelled()) {
@@ -307,8 +308,7 @@ LisaMapper::attemptStream(const map::MapContext &ctx)
         // One unmap/replace/re-route movement inside a transaction: the
         // mapping records the deltas, so reject is a rollback and the
         // Metropolis test reads the incremental cost delta.
-        std::vector<dfg::EdgeId> affected =
-            map::incidentEdges(ctx.dfg, v);
+        map::incidentEdges(ctx.dfg, v, affected);
         mapping.beginTransaction();
         for (dfg::EdgeId e : affected)
             mapping.clearRoute(e);

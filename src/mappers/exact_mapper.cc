@@ -29,6 +29,8 @@ struct Dfs
      *  bench att/s denominator for ILP* rows. Published to the shared
      *  MapContext counter once per tryMap, not per trial. */
     long placements = 0;
+    /** Rip-up set of routeIncidentStrict, refilled per call. */
+    std::vector<dfg::EdgeId> pending;
 
     bool place(size_t depth);
     bool routeIncidentStrict(dfg::NodeId v,
@@ -39,12 +41,7 @@ bool
 Dfs::routeIncidentStrict(dfg::NodeId v, std::vector<dfg::EdgeId> &routed_here)
 {
     const auto &dfg = mapping.dfg();
-    std::vector<dfg::EdgeId> pending;
-    for (dfg::EdgeId e : dfg.inEdges(v))
-        pending.push_back(e);
-    for (dfg::EdgeId e : dfg.outEdges(v))
-        if (dfg.edge(e).src != dfg.edge(e).dst)
-            pending.push_back(e);
+    incidentEdges(dfg, v, pending);
 
     // Longest routes first: they are the most constrained.
     if (mapping.mrrg().accel().temporalMapping()) {

@@ -40,10 +40,11 @@ feasibleWindow(const Mapping &mapping, const dfg::Analysis &analysis,
     return w;
 }
 
-std::vector<dfg::EdgeId>
-incidentEdges(const dfg::Dfg &dfg, dfg::NodeId v)
+void
+incidentEdges(const dfg::Dfg &dfg, dfg::NodeId v,
+              std::vector<dfg::EdgeId> &out)
 {
-    std::vector<dfg::EdgeId> out;
+    out.clear();
     for (dfg::EdgeId e : dfg.inEdges(v))
         out.push_back(e);
     for (dfg::EdgeId e : dfg.outEdges(v)) {
@@ -51,7 +52,6 @@ incidentEdges(const dfg::Dfg &dfg, dfg::NodeId v)
         if (dfg.edge(e).src != dfg.edge(e).dst)
             out.push_back(e);
     }
-    return out;
 }
 
 void

@@ -34,10 +34,13 @@ TimeWindow feasibleWindow(const Mapping &mapping,
                           const dfg::Analysis &analysis, dfg::NodeId v);
 
 /**
- * All edges incident to @p v (in-edges plus out-edges), with self-loops
- * kept once. This is the rip-up set of a relocate-one-node move.
+ * Fill @p out with all edges incident to @p v (in-edges, then out-edges),
+ * with self-loops kept once. This is the rip-up set of a relocate-one-node
+ * move; the move loops pass a reused buffer so a move allocates nothing
+ * once the buffer has grown to the largest node degree.
  */
-std::vector<dfg::EdgeId> incidentEdges(const dfg::Dfg &dfg, dfg::NodeId v);
+void incidentEdges(const dfg::Dfg &dfg, dfg::NodeId v,
+                   std::vector<dfg::EdgeId> &out);
 
 /**
  * Stable-sort edges longest-required-route first (the Fig 12 routing

@@ -85,6 +85,10 @@ SaMapper::annealOnce(const MapContext &ctx, Mapping &mapping, double budget,
     const int moves = cfg.movesPerTemp * cfg.movementMultiplier;
     const size_t num_nodes = ctx.dfg.numNodes();
 
+    // Rip-up set and routing order, refilled per move.
+    std::vector<dfg::EdgeId> affected;
+    std::vector<dfg::EdgeId> order;
+
     Stopwatch move_timer;
     bool ok = [&]() -> bool {
         while (temp > cfg.minTemp) {
@@ -101,7 +105,7 @@ SaMapper::annealOnce(const MapContext &ctx, Mapping &mapping, double budget,
                     continue;
 
                 const int old_time = mapping.placement(v).time;
-                auto affected = incidentEdges(ctx.dfg, v);
+                incidentEdges(ctx.dfg, v, affected);
 
                 // Speculative move: the transaction records every
                 // placement and route delta, so reject is a rollback
@@ -137,7 +141,7 @@ SaMapper::annealOnce(const MapContext &ctx, Mapping &mapping, double budget,
                     }
                 };
                 if (cfg.routingPriority && accel.temporalMapping()) {
-                    auto order = affected;
+                    order.assign(affected.begin(), affected.end());
                     sortByRoutingPriority(mapping, order);
                     route(order);
                 } else {

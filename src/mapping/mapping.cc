@@ -22,6 +22,8 @@ Mapping::Mapping(const dfg::Dfg &dfg, std::shared_ptr<const arch::Mrrg> mrrg)
     routes.assign(dfg.numEdges(), {});
     routed.assign(dfg.numEdges(), false);
     occ.assign(rrg->numResources(), {});
+    occCount.assign(rrg->numResources(), 0);
+    occFirst.assign(rrg->numResources(), kNoInstance);
 }
 
 int64_t
@@ -129,22 +131,7 @@ Mapping::requiredLength(dfg::EdgeId e) const
 int
 Mapping::resourceOveruse(int res) const
 {
-    return std::max<int>(0, static_cast<int>(occ[res].size()) - 1);
-}
-
-int
-Mapping::numInstancesOn(int res) const
-{
-    return static_cast<int>(occ[res].size());
-}
-
-bool
-Mapping::holdsInstance(int res, int64_t key) const
-{
-    for (const InstanceRef &ir : occ[res])
-        if (ir.key == key)
-            return true;
-    return false;
+    return std::max(0, numInstancesOn(res) - 1);
 }
 
 std::vector<dfg::NodeId>
@@ -245,9 +232,12 @@ Mapping::addInstance(int res, int64_t key)
             return;
         }
     }
-    if (!entries.empty())
+    if (entries.empty())
+        occFirst[static_cast<size_t>(res)] = key;
+    else
         ++overuse;
     entries.push_back(InstanceRef{key, 1});
+    ++occCount[static_cast<size_t>(res)];
 }
 
 void
@@ -259,8 +249,12 @@ Mapping::removeInstance(int res, int64_t key)
             continue;
         if (--entries[i].refs == 0) {
             entries.erase(entries.begin() + static_cast<long>(i));
+            --occCount[static_cast<size_t>(res)];
             if (!entries.empty())
                 --overuse;
+            if (i == 0)
+                occFirst[static_cast<size_t>(res)] =
+                    entries.empty() ? kNoInstance : entries.front().key;
         }
         return;
     }

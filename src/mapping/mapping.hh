@@ -119,10 +119,28 @@ class Mapping
     int resourceOveruse(int res) const;
 
     /** Number of distinct value instances on @p res. */
-    int numInstancesOn(int res) const;
+    int
+    numInstancesOn(int res) const
+    {
+        return occCount[static_cast<size_t>(res)];
+    }
 
-    /** True when @p res holds the instance @p key. */
-    bool holdsInstance(int res, int64_t key) const;
+    /** True when @p res holds the instance @p key. Reads the flat
+     *  first-instance array; only an overused resource (two or more
+     *  instances) scans its instance list. */
+    bool
+    holdsInstance(int res, int64_t key) const
+    {
+        const auto r = static_cast<size_t>(res);
+        if (occFirst[r] == key)
+            return true;
+        if (occCount[r] < 2)
+            return false;
+        for (const InstanceRef &ir : occ[r])
+            if (ir.key == key)
+                return true;
+        return false;
+    }
 
     /** Producer node ids of all instances on @p res (for diagnostics). */
     std::vector<dfg::NodeId> valuesOn(int res) const;
@@ -206,6 +224,15 @@ class Mapping
     std::vector<bool> routed;
     /** Per-resource small list of (instance key, refcount). */
     std::vector<std::vector<InstanceRef>> occ;
+    /** @{ Flat mirrors of occ, written only by addInstance and
+     *  removeInstance: occ[r].size(), and occ[r].front().key or
+     *  kNoInstance (never a key: keys are non-negative) when r is free.
+     *  The router's step cost reads these instead of following occ[r]
+     *  into its own heap block. */
+    static constexpr int64_t kNoInstance = -1;
+    std::vector<int32_t> occCount;
+    std::vector<int64_t> occFirst;
+    /** @} */
     size_t placedCount = 0;
     size_t routedCount = 0;
     int overuse = 0;

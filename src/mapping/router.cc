@@ -87,8 +87,12 @@ prependSharedPrefix(const Mapping &mapping, dfg::EdgeId parentEdge,
  *    edges), so pruned cells only ever relax pruned cells and every
  *    surviving cell keeps the reference kernel's exact value and parent.
  *  - stepCost memo: within one DP step the instance key is fixed, so each
- *    target's occupancy scan runs once per step instead of once per
+ *    target's occupancy test runs once per step instead of once per
  *    incoming move edge.
+ *
+ * The step loop walks the MRRG's in-layer move CSR over stamp-free cost
+ * rows (see router_workspace.hh), so a move-edge visit costs a memo
+ * check, one add and one compare against the target's cost.
  */
 const RouteResult *
 routeTemporal(const Mapping &mapping, dfg::EdgeId e, const RouterCosts &costs,
@@ -128,7 +132,7 @@ routeTemporal(const Mapping &mapping, dfg::EdgeId e, const RouterCosts &costs,
         return nullptr;
     }
 
-    ws.beginTemporal(len + 1, per_layer);
+    const RouterWorkspace::DpRows rows = ws.beginTemporal(len + 1, per_layer);
 
     for (const RouteSeed &seed : ws.seeds) {
         if (seed.step > len)
@@ -142,37 +146,61 @@ routeTemporal(const Mapping &mapping, dfg::EdgeId e, const RouterCosts &costs,
             ws.dpSeed(seed.step, idx, seed.parent);
     }
 
-    for (int s = 0; s < len; ++s) {
+    // The step loop keeps every piece of workspace state it touches in
+    // locals (row pointers, memo tick, counters): stores through the row
+    // and memo pointers cannot alias them, so nothing is reloaded per
+    // edge visit. Counters reach ws.counters once per call.
+    uint64_t tick = ws.reserveMemoTicks(len);
+    uint64_t pops = 0;
+    uint64_t relaxed = 0;
+    uint64_t skipped = 0;
+    for (int s = 0; s < len; ++s, ++tick) {
         const int layer_base = ((src.time + s) % ii) * per_layer;
+        const int next_base = ((src.time + s + 1) % ii) * per_layer;
         const int64_t key =
             mapping.instanceKey(edge.src, AbsTime{src.time + s + 1});
         const int remaining = len - s;
-        ws.beginStepMemo();
+        const double *here_row =
+            rows.cost + static_cast<size_t>(s) * per_layer;
+        const size_t next_off = static_cast<size_t>(s + 1) * per_layer;
+        double *next_cost = rows.cost + next_off;
+        int *next_parent = rows.parent + next_off;
+        dfg::EdgeId *next_seed = rows.seedEdge + next_off;
         for (int idx = 0; idx < per_layer; ++idx) {
-            const double here = ws.dpCostAt(s, idx);
+            const double here = here_row[idx];
             if (here == kInf)
                 continue;
-            const int res = layer_base + idx;
-            const int32_t h = hops[static_cast<size_t>(res)];
+            const int32_t h = hops[static_cast<size_t>(layer_base + idx)];
             if (h < 0 || h > remaining) {
-                ++ws.counters.dpCellsSkipped;
+                ++skipped;
                 continue;
             }
-            ++ws.counters.pqPops; // DP cell expanded (frontier pop)
-            for (int next : mrrg.moveTargets(res)) {
-                const int nidx = mrrg.indexInLayer(next);
+            ++pops; // DP cell expanded (frontier pop)
+            for (int nidx : mrrg.layerMoves(idx)) {
                 double c;
-                if (!ws.memoGet(nidx, c)) {
-                    c = stepCost(mapping, next, key, costs, base);
-                    ws.memoPut(nidx, c);
+                if (rows.memoStamp[nidx] == tick) {
+                    c = rows.memoCost[nidx];
+                } else {
+                    c = stepCost(mapping, next_base + nidx, key, costs,
+                                 base);
+                    rows.memoStamp[nidx] = tick;
+                    rows.memoCost[nidx] = c;
                 }
                 if (c == kInf)
                     continue;
-                if (ws.dpImprove(s + 1, nidx, here + c, idx))
-                    ++ws.counters.relaxations;
+                const double nc = here + c;
+                if (nc < next_cost[nidx]) {
+                    next_cost[nidx] = nc;
+                    next_parent[nidx] = idx;
+                    next_seed[nidx] = -1;
+                    ++relaxed;
+                }
             }
         }
     }
+    ws.counters.pqPops += pops;
+    ws.counters.relaxations += relaxed;
+    ws.counters.dpCellsSkipped += skipped;
 
     // Final holder must be able to feed the consumer op.
     const int final_layer = (src.time + len) % ii;

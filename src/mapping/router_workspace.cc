@@ -37,18 +37,19 @@ RouterWorkspace::beginSpatial(int numResources)
     heap.clear();
 }
 
-void
+RouterWorkspace::DpRows
 RouterWorkspace::beginTemporal(int steps, int perLayer)
 {
-    ++epoch;
     dpPerLayer = static_cast<size_t>(perLayer);
     const size_t cells = static_cast<size_t>(steps) * dpPerLayer;
     ensure(dpCost, cells);
     ensure(dpParent, cells);
     ensure(dpSeedEdge, cells);
-    ensure(dpStamp, cells);
     ensure(memoCost, dpPerLayer);
     ensure(memoStamp, dpPerLayer);
+    std::fill_n(dpCost.begin(), cells, kInf);
+    return DpRows{dpCost.data(), dpParent.data(), dpSeedEdge.data(),
+                  memoCost.data(), memoStamp.data()};
 }
 
 void
@@ -79,7 +80,7 @@ RouterWorkspace::capacityBytes() const
     };
     return bytes(cost) + bytes(parent) + bytes(seedStep) + bytes(seedEdge) +
            bytes(stamp) + bytes(goalStamp) + bytes(heap) + bytes(dpCost) +
-           bytes(dpParent) + bytes(dpSeedEdge) + bytes(dpStamp) +
+           bytes(dpParent) + bytes(dpSeedEdge) +
            bytes(memoCost) + bytes(memoStamp) + bytes(seeds) +
            bytes(result.path) + oracle.capacityBytes();
 }

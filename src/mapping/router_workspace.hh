@@ -10,11 +10,22 @@
  * routing performs no heap allocations: buffers grow to the high-water
  * mark of the (MRRG, DFG) pair and are then reused for every later call.
  *
- * Stale state is retired by *epoch stamping* instead of O(n) clears: each
- * slot carries the epoch in which it was last written, beginSpatial /
- * beginTemporal bump the workspace epoch, and a slot whose stamp differs
- * from the current epoch reads as unvisited (infinite cost, no parent).
- * Epochs are 64-bit and never wrap in practice.
+ * Stale spatial state is retired by *epoch stamping* instead of O(n)
+ * clears: each Dijkstra label carries the epoch in which it was last
+ * written, beginSpatial bumps the workspace epoch, and a label whose stamp
+ * differs from the current epoch reads as unvisited (infinite cost, no
+ * parent). A* touches a sparse set of resources, so a clear would cost
+ * more than the search. Epochs are 64-bit and never wrap in practice.
+ *
+ * The temporal DP rows carry no stamps: the DP scans every slot of every
+ * row anyway, so beginTemporal resets the (steps x perLayer) cost rows to
+ * +inf in one linear fill and each edge visit reads a plain double. Parent
+ * and seed-edge slots are never reset; they are read only on cells whose
+ * cost is finite, which were written in the same call.
+ *
+ * The stepCost memo keeps its stamps: one memo window per DP step would
+ * otherwise need a perLayer clear per step. Its tick is handed out in
+ * blocks (reserveMemoTicks) so the DP can keep it in a register.
  *
  * A workspace must not be shared between threads; each attempt stream of
  * the annealing portfolio owns one. The workspace also accumulates
@@ -127,17 +138,31 @@ struct RouteSeed
     dfg::EdgeId parent; ///< route supplying the prefix (-1 = producer)
 };
 
-/** Reusable, epoch-stamped scratch state for the edge router. */
+/** Reusable scratch state for the edge router. */
 class RouterWorkspace
 {
   public:
     static constexpr double kInf = std::numeric_limits<double>::infinity();
 
-    /** @{ Search-start hooks: bump the epoch and size the arrays. */
+    /** Raw views of the temporal DP state, for the DP's inner loop. Rows
+     *  are flat-indexed [step * perLayer + idx]; the memo is indexed by
+     *  in-layer index. */
+    struct DpRows
+    {
+        double *cost;          ///< +inf after beginTemporal
+        int *parent;           ///< valid where cost is finite
+        dfg::EdgeId *seedEdge; ///< valid where cost is finite
+        double *memoCost;
+        uint64_t *memoStamp;
+    };
+
+    /** Start a spatial search: bump the epoch and size the labels. */
     void beginSpatial(int numResources);
-    /** @p steps rows (required length + 1) of @p perLayer slots each. */
-    void beginTemporal(int steps, int perLayer);
-    /** @} */
+
+    /** Start a temporal search over @p steps rows (required length + 1)
+     *  of @p perLayer slots each: size the rows, reset every cost slot to
+     *  +inf and return the raw views. */
+    DpRows beginTemporal(int steps, int perLayer);
 
     /** @{ Per-window stepCost memo. The mapping is immutable during one
      *  routeEdge call, so stepCost(res, key) is pure over any window with
@@ -146,6 +171,16 @@ class RouterWorkspace
      *  time). beginStepMemo opens a fresh window; entries are retired by
      *  stamping, never cleared. */
     void beginStepMemo() { ++memoTick; }
+
+    /** Reserve @p n fresh memo windows for a caller that stamps
+     *  memoStamp itself; it uses ticks first .. first + n - 1. */
+    uint64_t
+    reserveMemoTicks(int n)
+    {
+        const uint64_t first = memoTick + 1;
+        memoTick += static_cast<uint64_t>(n);
+        return first;
+    }
 
     bool
     memoGet(int idx, double &out) const
@@ -210,13 +245,9 @@ class RouterWorkspace
     std::pair<double, int> popHeap();
     /** @} */
 
-    /** @{ Temporal DP matrix, flat-indexed [step * perLayer + idx]. */
-    double
-    dpCostAt(int s, int idx) const
-    {
-        const size_t i = flat(s, idx);
-        return dpStamp[i] == epoch ? dpCost[i] : kInf;
-    }
+    /** @{ Temporal DP matrix, flat-indexed [step * perLayer + idx]
+     *  (valid after beginTemporal). */
+    double dpCostAt(int s, int idx) const { return dpCost[flat(s, idx)]; }
 
     int dpParentAt(int s, int idx) const { return dpParent[flat(s, idx)]; }
 
@@ -231,7 +262,6 @@ class RouterWorkspace
     dpSeed(int s, int idx, dfg::EdgeId edge)
     {
         const size_t i = flat(s, idx);
-        dpStamp[i] = epoch;
         dpCost[i] = 0.0;
         dpParent[i] = -2;
         dpSeedEdge[i] = edge;
@@ -241,10 +271,9 @@ class RouterWorkspace
     bool
     dpImprove(int s, int idx, double c, int par)
     {
-        if (c >= dpCostAt(s, idx))
-            return false;
         const size_t i = flat(s, idx);
-        dpStamp[i] = epoch;
+        if (c >= dpCost[i])
+            return false;
         dpCost[i] = c;
         dpParent[i] = par;
         dpSeedEdge[i] = -1;
@@ -331,7 +360,6 @@ class RouterWorkspace
     std::vector<double> dpCost;
     std::vector<int> dpParent;
     std::vector<dfg::EdgeId> dpSeedEdge;
-    std::vector<uint64_t> dpStamp;
 };
 
 } // namespace lisa::map

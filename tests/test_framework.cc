@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "arch/arch_context.hh"
 #include "arch/cgra.hh"
@@ -37,7 +38,11 @@ struct FrameworkTest : public ::testing::Test
 {
     void SetUp() override
     {
-        cache = "/tmp/lisa_fw_test_cache";
+        // One directory per test: ctest runs these tests in parallel
+        // processes, and a shared directory let one test's set-up delete
+        // or overwrite the models another test had just cached.
+        cache = std::string("/tmp/lisa_fw_test_cache_") +
+                ::testing::UnitTest::GetInstance()->current_test_info()->name();
         std::filesystem::remove_all(cache);
     }
     void TearDown() override { std::filesystem::remove_all(cache); }
@@ -160,15 +165,18 @@ TEST_F(FrameworkTest, MetaWithoutFingerprintIsRejected)
     LisaFramework fw(c, tinyConfig(cache));
     fw.prepare();
     const std::string meta_path = cache + "/" + c.name() + ".meta";
+    // The sentinel is no ratio of small counts, so a retrained accuracy
+    // (correct / validation samples) cannot equal it by chance, as 0.9
+    // could.
     {
         std::ofstream out(meta_path);
-        out << "0.9\n0.9\n0.9\n0.9\n";
+        out << "0.987654321\n0.987654321\n0.987654321\n0.987654321\n";
     }
     LisaFramework fw2(c, tinyConfig(cache));
     fw2.prepare();
     ASSERT_EQ(fw2.labelAccuracy().size(), 4u);
     for (double acc : fw2.labelAccuracy())
-        EXPECT_NE(acc, 0.9);
+        EXPECT_NE(acc, 0.987654321);
 }
 
 TEST_F(FrameworkTest, CompilePortfolioRacesAndReproduces)

@@ -1,6 +1,8 @@
 /** @file Unit tests for the Mapping state: placement, routing, occupancy
  *  and overuse bookkeeping with instance keys. */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "arch/cgra.hh"
@@ -168,6 +170,59 @@ TEST_F(MappingTest, ValuesOnDecodesProducers)
     auto values = m.valuesOn(mrrg->fuId(PeId{0}, AbsTime{0}));
     ASSERT_EQ(values.size(), 1u);
     EXPECT_EQ(values[0], 0);
+}
+
+TEST_F(MappingTest, StackedOccupancyAccessorsFollowRemoveAndRollback)
+{
+    // Three instances stacked on one FU, then the cached first one removed
+    // while the other two remain, then the removal rolled back.
+    Mapping m(graph, mrrg);
+    const int res = mrrg->fuId(PeId{3}, AbsTime{0});
+    const int64_t k0 = m.instanceKey(0, AbsTime{0});
+    const int64_t k1 = m.instanceKey(1, AbsTime{2}); // layer 0 again
+    const int64_t k2 = m.instanceKey(2, AbsTime{0});
+    // Producer 0 at another time folding onto the same layer, and the
+    // same FU at the other layer: never held.
+    const int64_t k0_later = m.instanceKey(0, AbsTime{2});
+    const int other = mrrg->fuId(PeId{3}, AbsTime{1});
+
+    auto expect_held = [&](int count, bool h0, bool h1, bool h2) {
+        EXPECT_EQ(m.numInstancesOn(res), count);
+        EXPECT_EQ(m.resourceOveruse(res), std::max(0, count - 1));
+        EXPECT_EQ(m.holdsInstance(res, k0), h0);
+        EXPECT_EQ(m.holdsInstance(res, k1), h1);
+        EXPECT_EQ(m.holdsInstance(res, k2), h2);
+        EXPECT_FALSE(m.holdsInstance(res, k0_later));
+        EXPECT_EQ(m.numInstancesOn(other), 0);
+        for (int64_t k : {k0, k1, k2, k0_later})
+            EXPECT_FALSE(m.holdsInstance(other, k));
+    };
+
+    expect_held(0, false, false, false);
+    m.placeNode(0, PeId{3}, AbsTime{0});
+    expect_held(1, true, false, false);
+    m.placeNode(1, PeId{3}, AbsTime{2});
+    expect_held(2, true, true, false);
+    m.placeNode(2, PeId{3}, AbsTime{0});
+    expect_held(3, true, true, true);
+    EXPECT_EQ(m.totalOveruse(), 2);
+
+    m.beginTransaction();
+    m.unplaceNode(0); // the first instance: k1 becomes the cached one
+    expect_held(2, false, true, true);
+    EXPECT_EQ(m.totalOveruse(), 1);
+    m.rollbackTransaction();
+    expect_held(3, true, true, true);
+    EXPECT_EQ(m.totalOveruse(), 2);
+
+    // After the rollback k0 sits last; drain in list order.
+    m.unplaceNode(1);
+    expect_held(2, true, false, true);
+    m.unplaceNode(2);
+    expect_held(1, true, false, false);
+    m.unplaceNode(0);
+    expect_held(0, false, false, false);
+    EXPECT_EQ(m.totalOveruse(), 0);
 }
 
 } // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "arch/cgra.hh"
 #include "arch/mrrg.hh"
@@ -163,6 +164,49 @@ TEST(Mrrg, CsrTransposeConsistentSpatial)
 {
     SystolicArch s(3, 5);
     expectCsrConsistent(Mrrg(s, 1));
+}
+
+/** layerMoves(idx) must list, for every layer, moveTargets(layer * P +
+ *  idx) reduced to in-layer indices, in the same order. */
+void
+expectLayerMovesMatch(const Mrrg &m)
+{
+    const int per_layer = m.perLayerCount();
+    for (int layer = 0; layer < m.ii(); ++layer) {
+        for (int idx = 0; idx < per_layer; ++idx) {
+            std::vector<int> want;
+            for (int next : m.moveTargets(layer * per_layer + idx))
+                want.push_back(m.indexInLayer(next));
+            const auto row = m.layerMoves(idx);
+            EXPECT_EQ(std::vector<int>(row.begin(), row.end()), want)
+                << "ii " << m.ii() << " layer " << layer << " idx " << idx;
+        }
+    }
+}
+
+TEST(Mrrg, LayerMovesMatchMoveTargets)
+{
+    CgraArch c4(baselineCgra(4, 4));
+    for (int ii = 1; ii <= 4; ++ii)
+        expectLayerMovesMatch(Mrrg(c4, ii));
+    CgraArch one_reg(lessRoutingCgra());
+    for (int ii : {1, 3})
+        expectLayerMovesMatch(Mrrg(one_reg, ii));
+    CgraArch c3(baselineCgra(3, 3));
+    expectLayerMovesMatch(Mrrg(c3, 2));
+    CgraArch c8(baselineCgra(8, 8));
+    expectLayerMovesMatch(Mrrg(c8, 3));
+    SystolicArch sys(3, 5);
+    expectLayerMovesMatch(Mrrg(sys, 1));
+    // The table is sized once, not per layer.
+    Mrrg m(c4, 4);
+    size_t edges = 0;
+    for (int idx = 0; idx < m.perLayerCount(); ++idx)
+        edges += m.layerMoves(idx).size();
+    size_t layer0 = 0;
+    for (int id = 0; id < m.perLayerCount(); ++id)
+        layer0 += m.moveTargets(id).size();
+    EXPECT_EQ(edges, layer0);
 }
 
 TEST(Mrrg, UidsAreUniquePerInstance)

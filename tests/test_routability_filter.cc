@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "arch/arch_context.hh"
 #include "arch/cgra.hh"
@@ -27,7 +28,6 @@
 #include "nn/module.hh"
 #include "nn/tensor.hh"
 #include "support/random.hh"
-#include "support/thread_pool.hh"
 #include "verify/mapping_io.hh"
 #include "workloads/registry.hh"
 
@@ -85,6 +85,37 @@ searchText(map::Mapper &mapper, const dfg::Dfg &dfg,
     if (!r.success || !r.mapping.has_value())
         return "";
     return verify::mappingToText(*r.mapping);
+}
+
+/**
+ * One fixed-II tryMap job, seeded as searchMinIi seeds that II
+ * (Rng(seed).split(ii)), on one attempt stream, under a cap far above its
+ * run time. Its result is then a pure function of the seed: no wall-clock
+ * budget or stream race decides where the search stops. @return the
+ * mapping text, "" when the job found none.
+ */
+std::string
+tryMapText(map::Mapper &mapper, const dfg::Dfg &dfg, const dfg::Analysis &an,
+           arch::ArchContext &ctx, int ii, map::MapperStats *stats)
+{
+    constexpr double kCapS = 120.0;
+    std::atomic<long> attempts{0};
+    map::MapContext mc{dfg,
+                       an,
+                       ctx.mrrgFor(ii),
+                       kCapS,
+                       Rng(11).split(static_cast<uint64_t>(ii)),
+                       1,
+                       nullptr,
+                       nullptr,
+                       &attempts,
+                       stats,
+                       &ctx,
+                       nullptr,
+                       ii,
+                       0};
+    auto m = mapper.tryMap(mc);
+    return m ? verify::mappingToText(*m) : "";
 }
 
 TEST(RoutabilityFilter, ModelRoundTripPreservesScores)
@@ -182,59 +213,51 @@ TEST(RoutabilityFilter, StrictModeBitIdenticalToOffAcrossMappers)
 {
     // The property the strict gate guarantees: with every predicted
     // reject shadow-routed and overridden by the router's answer, the
-    // final mapping of a fixed (seed, threads) search is bit-identical
-    // to a filter-off run. An absurdly high threshold makes the model
-    // disagree with the router on every learned-tier query, so the
-    // override path is exercised constantly.
+    // final mapping of a fixed-seed search is bit-identical to a
+    // filter-off run. An absurdly high threshold would veto every
+    // learned-tier query; these three mappers allow overuse, so their
+    // rejects come from tier 0, and strict mode shadow-routes every one.
+    // Each mapper runs one fixed-II job (see tryMapText), so no
+    // wall-clock budget decides where either mode's search stops.
     arch::CgraArch accel(arch::baselineCgra(4, 4));
     arch::ArchContext ctx(accel, "");
     ctx.setRoutabilityModel(makeModel(1e9, ctx.fingerprint()));
     auto w = workloads::workloadByName("gemm");
-    ThreadPool::setGlobalThreads(2);
-
+    const dfg::Analysis an(w.dfg);
     const auto labels = labelsFor(w.dfg);
-    auto runAll = [&](int threads) {
-        std::string text;
-        {
-            map::SaMapper sa;
-            text += searchText(sa, w.dfg, ctx, threads, nullptr);
-        }
-        {
-            core::LisaMapper lisa(labels);
-            text += searchText(lisa, w.dfg, ctx, threads, nullptr);
-        }
-        {
-            map::EvoMapper evo;
-            text += searchText(evo, w.dfg, ctx, 1, nullptr);
-        }
-        return text;
+
+    // SA and LISA map at the MII in well under a second; EVO gets an II
+    // it also maps in about 0.1 s (at II 2-3 it needs seconds).
+    auto runAll = [&](map::MapperStats *sa_stats) {
+        std::vector<std::string> texts;
+        map::SaMapper sa;
+        texts.push_back(tryMapText(sa, w.dfg, an, ctx, 1, sa_stats));
+        core::LisaMapper lisa(labels);
+        texts.push_back(tryMapText(lisa, w.dfg, an, ctx, 1, nullptr));
+        map::EvoMapper evo;
+        texts.push_back(tryMapText(evo, w.dfg, an, ctx, 5, nullptr));
+        return texts;
     };
 
-    std::string off_text;
+    std::vector<std::string> off_texts;
     {
         ModeGuard guard(map::RoutabilityMode::Off);
-        off_text = runAll(2);
-        map::SaMapper sa;
-        off_text += searchText(sa, w.dfg, ctx, 2, nullptr);
+        off_texts = runAll(nullptr);
     }
-    ASSERT_FALSE(off_text.empty());
+    for (const std::string &t : off_texts)
+        ASSERT_FALSE(t.empty());
 
-    map::SearchResult probe;
-    std::string strict_text;
+    map::MapperStats probe;
+    std::vector<std::string> strict_texts;
     {
         ModeGuard guard(map::RoutabilityMode::Strict);
-        strict_text = runAll(2);
-        map::SaMapper sa;
-        strict_text += searchText(sa, w.dfg, ctx, 2, &probe);
+        strict_texts = runAll(&probe);
     }
-    EXPECT_EQ(off_text, strict_text);
-    // Strict mode audits every reject and the model vetoes everything,
-    // so the counters must show constant disagreement.
-    EXPECT_GT(probe.stats.router.filterQueries, 0u);
-    EXPECT_GT(probe.stats.router.filterRejects, 0u);
-    EXPECT_EQ(probe.stats.router.filterShadowRoutes,
-              probe.stats.router.filterRejects);
-    ThreadPool::setGlobalThreads(1);
+    EXPECT_EQ(off_texts, strict_texts);
+    // Strict mode audits every reject: each one is shadow-routed.
+    EXPECT_GT(probe.router.filterQueries, 0u);
+    EXPECT_GT(probe.router.filterRejects, 0u);
+    EXPECT_EQ(probe.router.filterShadowRoutes, probe.router.filterRejects);
 }
 
 TEST(RoutabilityFilter, OnModeTier0RulesMatchRouterExactly)

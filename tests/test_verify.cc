@@ -42,11 +42,13 @@ struct MappingTestAccess
         return m.routes[e];
     }
 
+    /** Record an instance no placement or route accounts for, through
+     *  the same bookkeeping (instance list and flat mirrors) that
+     *  numInstancesOn / holdsInstance read. */
     static void
     addPhantomInstance(Mapping &m, int res, int64_t key)
     {
-        m.occ[static_cast<size_t>(res)].push_back(
-            Mapping::InstanceRef{key, 1});
+        m.addInstance(res, key);
     }
 
     static int &overuse(Mapping &m) { return m.overuse; }

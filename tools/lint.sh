@@ -3,7 +3,7 @@
 #
 # The inner routing loops (routeEdge and the structures it touches) must
 # not allocate: RouterWorkspace exists precisely so per-edge routing
-# reuses epoch-stamped scratch storage. This script fails the build when
+# reuses its scratch storage. This script fails the build when
 #
 #   1. a raw heap allocation (new / make_unique / make_shared / malloc /
 #      calloc / realloc) appears anywhere in a hot-path file, or
@@ -43,8 +43,10 @@ HOT_FILES=(
     src/mapping/distance_oracle.hh
     src/mapping/routability_filter.hh
     src/mapping/routability_filter.cc
+    src/mapping/mapping.hh
     src/mapping/portfolio.hh
     src/arch/arch_context.hh
+    src/arch/mrrg.hh
     src/serve/cache.hh
     src/serve/cache.cc
 )
