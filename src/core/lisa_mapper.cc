@@ -326,17 +326,14 @@ LisaMapper::attemptStream(const map::MapContext &ctx)
                              return lbls.temporalDist[a] >
                                     lbls.temporalDist[b];
                          });
-        for (dfg::EdgeId e : affected) {
-            const dfg::Edge &edge = ctx.dfg.edge(e);
-            if (!mapping.isPlaced(edge.src) || !mapping.isPlaced(edge.dst))
-                continue;
-            const map::RouteResult *res =
-                map::routeEdge(mapping, e, cfg.routerCosts, ws);
-            if (res)
-                mapping.setRoute(e, res->path);
-        }
-
-        if (mapping.valid()) {
+        // A move that ends valid commits at once; any other move takes
+        // the Metropolis test. routeMove rejects early only a move that
+        // can no longer end valid.
+        const map::MoveTest test{cfg.routerCosts, cfg.costParams, temp,
+                                 true};
+        const map::MoveVerdict verdict =
+            map::routeMove(mapping, affected, test, ws, ctx.rng, stats);
+        if (verdict.accept && mapping.valid()) {
             mapping.commitTransaction();
             if (verify::validationEnabled())
                 verify::checkOrDie(mapping, {}, "LisaMapper acceptance");
@@ -345,18 +342,15 @@ LisaMapper::attemptStream(const map::MapContext &ctx)
             return finish(std::move(mapping));
         }
 
-        const double delta = map::mappingCostDelta(mapping, cfg.costParams);
         ++attempts;
-        const bool accept =
-            delta <= 0 || ctx.rng.uniform() < std::exp(-delta / temp);
-        if (accept) {
+        if (verdict.accept) {
             mapping.commitTransaction();
             if (verify::validationEnabled()) {
                 verify::checkOrDie(mapping, {.requireComplete = false},
                                    "LisaMapper commit");
             }
             ++stats.movesCommitted;
-            if (delta < 0) {
+            if (verdict.delta < 0) {
                 ++accepted;
                 since_improvement = 0;
             } else {

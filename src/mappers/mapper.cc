@@ -3,66 +3,9 @@
 #include <algorithm>
 #include <vector>
 
-#include "mappers/placement_util.hh"
 #include "support/thread_pool.hh"
 
 namespace lisa::map {
-
-TimeWindow
-feasibleWindow(const Mapping &mapping, const dfg::Analysis &analysis,
-               dfg::NodeId v)
-{
-    if (!mapping.mrrg().accel().temporalMapping())
-        return TimeWindow{0, 0};
-
-    const auto &dfg = mapping.dfg();
-    const int ii = mapping.mrrg().ii();
-    TimeWindow w{analysis.asap(v), mapping.horizon() - 1};
-
-    for (dfg::EdgeId e : dfg.inEdges(v)) {
-        const dfg::Edge &edge = dfg.edge(e);
-        if (!mapping.isPlaced(edge.src) || edge.src == v)
-            continue;
-        int bound = mapping.placement(edge.src).time + 1 -
-                    edge.iterDistance * ii;
-        w.lo = std::max(w.lo, bound);
-    }
-    for (dfg::EdgeId e : dfg.outEdges(v)) {
-        const dfg::Edge &edge = dfg.edge(e);
-        if (!mapping.isPlaced(edge.dst) || edge.dst == v)
-            continue;
-        int bound = mapping.placement(edge.dst).time - 1 +
-                    edge.iterDistance * ii;
-        w.hi = std::min(w.hi, bound);
-    }
-    w.lo = std::max(w.lo, 0);
-    w.hi = std::min(w.hi, mapping.horizon() - 1);
-    return w;
-}
-
-void
-incidentEdges(const dfg::Dfg &dfg, dfg::NodeId v,
-              std::vector<dfg::EdgeId> &out)
-{
-    out.clear();
-    for (dfg::EdgeId e : dfg.inEdges(v))
-        out.push_back(e);
-    for (dfg::EdgeId e : dfg.outEdges(v)) {
-        // Self-loops appear in both lists; keep one copy.
-        if (dfg.edge(e).src != dfg.edge(e).dst)
-            out.push_back(e);
-    }
-}
-
-void
-sortByRoutingPriority(const Mapping &mapping, std::vector<dfg::EdgeId> &edges)
-{
-    std::stable_sort(edges.begin(), edges.end(),
-                     [&](dfg::EdgeId a, dfg::EdgeId b) {
-                         return mapping.requiredLength(a) >
-                                mapping.requiredLength(b);
-                     });
-}
 
 std::optional<Mapping>
 runAttemptPortfolio(

@@ -10,6 +10,8 @@ MapperStats::merge(const MapperStats &o)
     router.merge(o.router);
     movesCommitted += o.movesCommitted;
     movesRolledBack += o.movesRolledBack;
+    movesEarlyRejected += o.movesEarlyRejected;
+    routeCallsSkipped += o.routeCallsSkipped;
     restarts += o.restarts;
     incumbentCancels += o.incumbentCancels;
     initSeconds += o.initSeconds;
@@ -60,6 +62,8 @@ MapperStats::toJson() const
        << "\"routeSeconds\":" << router.routeSeconds << ","
        << "\"movesCommitted\":" << movesCommitted << ","
        << "\"movesRolledBack\":" << movesRolledBack << ","
+       << "\"movesEarlyRejected\":" << movesEarlyRejected << ","
+       << "\"routeCallsSkipped\":" << routeCallsSkipped << ","
        << "\"restarts\":" << restarts << ","
        << "\"incumbentCancels\":" << incumbentCancels << ","
        << "\"initSeconds\":" << initSeconds << ","

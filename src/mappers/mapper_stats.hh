@@ -43,6 +43,13 @@ struct MapperStats
     uint64_t movesCommitted = 0;
     /** Speculative moves rolled back (Metropolis rejects). */
     uint64_t movesRolledBack = 0;
+    /** The subset of movesRolledBack rejected before every edge was
+     *  routed: the Metropolis test was already certain to fail. */
+    uint64_t movesEarlyRejected = 0;
+    /** routeEdge calls the move loops did not make: rip-up edges that
+     *  provablyUnroutable() marked dead, plus the edges an early reject
+     *  left unrouted. */
+    uint64_t routeCallsSkipped = 0;
     /** Annealing restarts (fresh initial mappings), incl. the first. */
     uint64_t restarts = 0;
     /** II attempts abandoned because another portfolio member's success

@@ -1,7 +1,6 @@
 #include "mappers/sa_mapper.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "mappers/placement_util.hh"
@@ -85,9 +84,8 @@ SaMapper::annealOnce(const MapContext &ctx, Mapping &mapping, double budget,
     const int moves = cfg.movesPerTemp * cfg.movementMultiplier;
     const size_t num_nodes = ctx.dfg.numNodes();
 
-    // Rip-up set and routing order, refilled per move.
+    // Rip-up set, refilled per move and sorted into routing order.
     std::vector<dfg::EdgeId> affected;
-    std::vector<dfg::EdgeId> order;
 
     Stopwatch move_timer;
     bool ok = [&]() -> bool {
@@ -132,25 +130,12 @@ SaMapper::annealOnce(const MapContext &ctx, Mapping &mapping, double budget,
                 }
                 mapping.placeNode(v, PeId{pe}, AbsTime{time});
 
-                auto route = [&](const std::vector<dfg::EdgeId> &order) {
-                    for (dfg::EdgeId e : order) {
-                        const RouteResult *res =
-                            routeEdge(mapping, e, cfg.routerCosts, ws);
-                        if (res)
-                            mapping.setRoute(e, res->path);
-                    }
-                };
-                if (cfg.routingPriority && accel.temporalMapping()) {
-                    order.assign(affected.begin(), affected.end());
-                    sortByRoutingPriority(mapping, order);
-                    route(order);
-                } else {
-                    route(affected); // no priority: no copy, no sort
-                }
-
-                double delta = mappingCostDelta(mapping, cfg.costParams);
-                bool accept = delta <= 0 ||
-                              ctx.rng.uniform() < std::exp(-delta / temp);
+                if (cfg.routingPriority && accel.temporalMapping())
+                    sortByRoutingPriority(mapping, affected);
+                const MoveTest test{cfg.routerCosts, cfg.costParams, temp};
+                const bool accept =
+                    routeMove(mapping, affected, test, ws, ctx.rng, stats)
+                        .accept;
                 if (accept) {
                     mapping.commitTransaction();
                     if (verify::validationEnabled()) {

@@ -5,7 +5,8 @@
  * Random initial placement, relocate-one-node movements with rip-up and
  * re-route of incident edges, Metropolis acceptance over the incremental
  * mapping-cost delta (moves run inside a Mapping transaction; reject is a
- * rollback), geometric cooling with a fixed number of movements per
+ * rollback, and routeMove stops routing a move once its reject is
+ * certain), geometric cooling with a fixed number of movements per
  * temperature, and random restarts while the time budget lasts. With
  * MapContext::parallelism > 1, tryMap runs that many independent seed
  * streams concurrently with first-success cancellation.

@@ -1,9 +1,9 @@
 /**
  * @file
- * Cold paths of the routability filter: mode-knob resolution, the
+ * The routability filter's admission query (assess, hot and
+ * allocation-free) and its cold paths: mode-knob resolution, the
  * --collect-routability sample sink, and model (de)serialization with the
- * fabric-fingerprint stale-model guard. The hot admission path lives in
- * routability_filter.hh (lint-guarded, allocation-free).
+ * fabric-fingerprint stale-model guard.
  */
 
 #include "mapping/routability_filter.hh"
@@ -16,6 +16,7 @@
 #include <utility>
 
 #include "arch/arch_context.hh"
+#include "mapping/router_workspace.hh"
 #include "nn/module.hh"
 #include "nn/serialize.hh"
 #include "support/logging.hh"
@@ -81,6 +82,71 @@ modelPath(const std::string &dir, const std::string &accel_name)
 }
 
 } // namespace
+
+RoutabilityVerdict
+RoutabilityFilter::assess(const Mapping &mapping, dfg::EdgeId e,
+                          const RouterCosts &costs, RouterWorkspace &ws,
+                          double *f)
+{
+    RoutabilityVerdict v;
+    const bool collect = mode_ == RoutabilityMode::Collect;
+    if (provablyUnroutable(mapping, e, costs, ws)) {
+        // Tier 0: the router fails these on its own structural check.
+        // Trivially predictable, so collect mode does not log them.
+        if (!collect) {
+            v.consulted = true;
+            v.reject = true;
+            v.provable = true;
+        }
+        return v;
+    }
+    // Tier 1 runs only for contested (hard-capacity) calls. With
+    // overuse allowed the occupancy constraints soften to costs, so
+    // any structurally feasible candidate (tier 0 above) routes —
+    // across millions of collected samples not one overuse-allowed
+    // call failed — and admitting is always safe regardless.
+    // provableOnly_ workspaces (exhaustive search) take no learned
+    // vetoes either. Neither case is consulted or collected: the
+    // model only ever adjudicates the contested regime.
+    if (costs.allowOveruse || provableOnly_ || (!model_ && !collect))
+        return v; // admit without spending the learned tier
+
+    const dfg::Edge &edge = mapping.dfg().edge(e);
+    const Placement &src = mapping.placement(edge.src);
+    const Placement &dst = mapping.placement(edge.dst);
+    const auto &mrrg = mapping.mrrg();
+    const int ii = mrrg.ii();
+    const int len = mapping.requiredLength(e);
+    const int fu = mrrg.fuId(src.pe, src.time);
+    const int32_t h = ws.oracle.minHopsTo(dst.pe, dst.time,
+                                          ws.counters)[static_cast<size_t>(fu)];
+    const double dii = static_cast<double>(ii);
+    f[0] = static_cast<double>(len) / dii;
+    f[1] = static_cast<double>(h) / dii;
+    f[2] = static_cast<double>(len - h) / dii;
+    const int ld =
+        ((static_cast<int>(dst.time) - static_cast<int>(src.time)) % ii +
+         ii) %
+        ii;
+    f[3] = static_cast<double>(ld) / dii;
+    f[4] = 1.0 / dii;
+    const double fanout =
+        static_cast<double>(mapping.dfg().outEdges(edge.src).size());
+    f[5] = std::min(fanout, 8.0) / 8.0;
+    f[6] = busyFraction(mapping, mrrg.feeders(dst.pe, dst.time));
+    f[7] = busyFraction(mapping, mrrg.moveTargets(fu));
+    f[8] = std::min(static_cast<double>(mapping.totalOveruse()), 32.0) / 32.0;
+    // Constant 0 under the overuse bypass above; the slot stays so the
+    // feature version survives if that bypass is ever lifted.
+    f[9] = costs.allowOveruse ? 1.0 : 0.0;
+
+    v.consulted = true;
+    if (collect)
+        return v; // label comes from the real route outcome
+    if (model_->score(f) < model_->threshold)
+        v.reject = true;
+    return v;
+}
 
 RoutabilityMode
 routabilityMode()

@@ -9,12 +9,11 @@
  * full DP sweep. The filter sits in front of routeEdge and predicts route
  * feasibility from cheap, pure functions of the mapping state:
  *
- *  - tier 0, exact structural rules: a negative required length, or a
- *    producer FU whose oracle min-hop distance to the destination's
- *    feeder set exceeds the length budget (every holder of the value is
- *    downstream of the producer, so by the triangle inequality over move
- *    hops no fanout seed can reach either). These rejections are provably
- *    identical to a router failure.
+ *  - tier 0, the router's exact structural rule provablyUnroutable()
+ *    (router.hh): a negative required length, or a producer FU whose
+ *    oracle min-hop distance to the destination's feeder set exceeds the
+ *    length budget. These rejections are provably identical to a router
+ *    failure.
  *  - tier 1, a learned admission score: a tiny MLP (one ReLU hidden
  *    layer, flattened weights, allocation-free inference) over a
  *    10-feature vector — length, min-hops and slack (II headroom), layer
@@ -55,8 +54,9 @@
  * ArchContext so every workspace mapping on the fabric shares one
  * immutable copy.
  *
- * This header is on the tools/lint.sh hot-file list: the inference and
- * feature paths (score / assess) must stay allocation-free.
+ * This header and routability_filter.cc are on the tools/lint.sh hot-file
+ * list: the inference and feature paths (score / assess) must stay
+ * allocation-free.
  */
 
 #ifndef LISA_MAPPING_ROUTABILITY_FILTER_HH
@@ -69,8 +69,8 @@
 #include <string>
 #include <vector>
 
-#include "mapping/distance_oracle.hh"
 #include "mapping/mapping.hh"
+#include "mapping/router.hh"
 
 namespace lisa::arch {
 class ArchContext;
@@ -82,7 +82,7 @@ class Mlp;
 
 namespace lisa::map {
 
-struct RouterCounters;
+class RouterWorkspace;
 
 /** Admission modes of the LISA_ROUTE_FILTER knob. */
 enum class RoutabilityMode { Off, On, Strict, Collect };
@@ -188,87 +188,13 @@ class RoutabilityFilter
     /**
      * Decide admission for edge @p e of @p mapping and fill @p f (size
      * kFeatureCount) with the feature vector when the learned tier ran.
-     * @p oracle must already be bound to the mapping's MRRG. Pure over
-     * the mapping state; performs no allocation.
+     * Tier 0 is provablyUnroutable() (router.hh), so a tier-0 reject is
+     * exactly a call the router would fail. Pure over the mapping state
+     * (binds @p ws's oracle); performs no allocation.
      */
-    RoutabilityVerdict
-    assess(const Mapping &mapping, dfg::EdgeId e, bool allow_overuse,
-           DistanceOracle &oracle, RouterCounters &counters, double *f)
-    {
-        RoutabilityVerdict v;
-        const dfg::Edge &edge = mapping.dfg().edge(e);
-        const Placement &src = mapping.placement(edge.src);
-        const Placement &dst = mapping.placement(edge.dst);
-        const int len = mapping.requiredLength(e);
-        const bool collect = mode_ == RoutabilityMode::Collect;
-        if (len < 0) {
-            // Tier 0: the placement cannot satisfy the edge's timing at
-            // this II; the router fails these immediately too. Trivially
-            // predictable, so collect mode does not log them.
-            if (collect)
-                return v;
-            v.consulted = true;
-            v.reject = true;
-            v.provable = true;
-            return v;
-        }
-
-        const auto &mrrg = mapping.mrrg();
-        const int ii = mrrg.ii();
-        const auto hops = oracle.minHopsTo(dst.pe, dst.time, counters);
-        const int fu = mrrg.fuId(src.pe, src.time);
-        const int32_t h = hops[static_cast<size_t>(fu)];
-        if (h < 0 || h > len) {
-            // Tier 0: every holder of the value is downstream of the
-            // producer FU, so no fanout seed can reach the feeder set in
-            // budget either (triangle inequality over move hops).
-            if (collect)
-                return v;
-            v.consulted = true;
-            v.reject = true;
-            v.provable = true;
-            return v;
-        }
-        // Tier 1 runs only for contested (hard-capacity) calls. With
-        // overuse allowed the occupancy constraints soften to costs, so
-        // any structurally feasible candidate (tier 0 above) routes —
-        // across millions of collected samples not one overuse-allowed
-        // call failed — and admitting is always safe regardless.
-        // provableOnly_ workspaces (exhaustive search) take no learned
-        // vetoes either. Neither case is consulted or collected: the
-        // model only ever adjudicates the contested regime.
-        if (allow_overuse || provableOnly_ || (!model_ && !collect))
-            return v; // admit without spending the learned tier
-
-        const double dii = static_cast<double>(ii);
-        f[0] = static_cast<double>(len) / dii;
-        f[1] = static_cast<double>(h) / dii;
-        f[2] = static_cast<double>(len - h) / dii;
-        const int ld =
-            ((static_cast<int>(dst.time) - static_cast<int>(src.time)) % ii +
-             ii) %
-            ii;
-        f[3] = static_cast<double>(ld) / dii;
-        f[4] = 1.0 / dii;
-        const double fanout =
-            static_cast<double>(mapping.dfg().outEdges(edge.src).size());
-        f[5] = std::min(fanout, 8.0) / 8.0;
-        f[6] = busyFraction(mapping, mrrg.feeders(dst.pe, dst.time));
-        f[7] = busyFraction(mapping, mrrg.moveTargets(fu));
-        f[8] =
-            std::min(static_cast<double>(mapping.totalOveruse()), 32.0) /
-            32.0;
-        // Constant 0 under the overuse bypass above; the slot stays so
-        // the feature version survives if that bypass is ever lifted.
-        f[9] = allow_overuse ? 1.0 : 0.0;
-
-        v.consulted = true;
-        if (collect)
-            return v; // label comes from the real route outcome
-        if (model_->score(f) < model_->threshold)
-            v.reject = true;
-        return v;
-    }
+    RoutabilityVerdict assess(const Mapping &mapping, dfg::EdgeId e,
+                              const RouterCosts &costs, RouterWorkspace &ws,
+                              double *f);
 
     /** Append one (features, routed?) pair to the collection sink. */
     void logSample(const double *f, bool routed) const;

@@ -378,6 +378,26 @@ dispatchRoute(const Mapping &mapping, dfg::EdgeId e, const dfg::Edge &edge,
 
 } // namespace
 
+bool
+provablyUnroutable(const Mapping &mapping, dfg::EdgeId e,
+                   const RouterCosts &costs, RouterWorkspace &ws)
+{
+    const auto &mrrg = mapping.mrrg();
+    if (!mrrg.accel().temporalMapping())
+        return false;
+    const int len = mapping.requiredLength(e);
+    if (len < 0)
+        return true;
+    const dfg::Edge &edge = mapping.dfg().edge(e);
+    const Placement &src = mapping.placement(edge.src);
+    const Placement &dst = mapping.placement(edge.dst);
+    ws.oracle.bind(mapping.mrrgPtr(), costs, ws.archContext, ws.counters);
+    const auto hops = ws.oracle.minHopsTo(dst.pe, dst.time, ws.counters);
+    const int fu = mrrg.fuId(src.pe, src.time);
+    const int32_t h = hops[static_cast<size_t>(fu)];
+    return h < 0 || h > len;
+}
+
 const RouteResult *
 routeEdge(const Mapping &mapping, dfg::EdgeId e, const RouterCosts &costs,
           RouterWorkspace &ws)
@@ -396,10 +416,7 @@ routeEdge(const Mapping &mapping, dfg::EdgeId e, const RouterCosts &costs,
     std::array<double, RoutabilityModel::kFeatureCount> feats;
     RoutabilityVerdict verdict;
     if (ws.filter.enabled() && mapping.mrrg().accel().temporalMapping()) {
-        ws.oracle.bind(mapping.mrrgPtr(), costs, ws.archContext,
-                       ws.counters);
-        verdict = ws.filter.assess(mapping, e, costs.allowOveruse,
-                                   ws.oracle, ws.counters, feats.data());
+        verdict = ws.filter.assess(mapping, e, costs, ws, feats.data());
         if (verdict.consulted)
             ++ws.counters.filterQueries;
         if (verdict.reject) {

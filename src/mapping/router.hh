@@ -46,6 +46,20 @@ struct RouteResult
 };
 
 /**
+ * The tier-0 structural rule: true when edge @p e cannot route at its
+ * current placement whatever the occupancy. That is a negative required
+ * length, or a producer FU whose oracle min-hop distance to the
+ * destination's feeder set is -1 or larger than the length: every holder
+ * of the value is downstream of the producer FU, so by the triangle
+ * inequality over move hops no fanout seed can reach in budget either.
+ * A pure function of the two endpoint placements; routeEdge returns
+ * nullptr whenever it holds. Always false on spatial-only fabrics. Both
+ * endpoints must be placed; binds @p ws's oracle.
+ */
+bool provablyUnroutable(const Mapping &mapping, dfg::EdgeId e,
+                        const RouterCosts &costs, RouterWorkspace &ws);
+
+/**
  * Route edge @p e of @p mapping using @p ws for all scratch state. Both
  * endpoints must be placed and the edge un-routed. Zero heap allocations
  * once the workspace has grown to the (MRRG, DFG) high-water mark.

@@ -16,6 +16,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "nn/module.hh"
 
@@ -26,10 +27,18 @@ void saveModule(const Module &module, const std::string &model_name,
                 std::ostream &os);
 
 /**
- * Load parameters into @p module, matching by name and shape.
- * @return false (with @p error filled if non-null) on malformed input,
- * missing parameters, or shape mismatches.
+ * Load parameters from the model text @p text into @p module, matching
+ * by name and shape. Fails closed: @return false (with @p error filled if
+ * non-null) on a missing header, an unknown record, a malformed param
+ * header, a non-numeric, non-finite or out-of-range value, a file cut
+ * short at any byte (the last line must end in a newline), a missing
+ * parameter or a shape mismatch. Every file saveModule writes loads back
+ * bit-exactly.
  */
+bool loadModule(Module &module, std::string_view text,
+                std::string *error = nullptr);
+
+/** loadModule over the whole of @p is. */
 bool loadModule(Module &module, std::istream &is,
                 std::string *error = nullptr);
 

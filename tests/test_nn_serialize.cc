@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "nn/module.hh"
 #include "nn/serialize.hh"
@@ -91,6 +97,110 @@ TEST(NnSerialize, MissingFileFails)
     std::string error;
     EXPECT_FALSE(loadModuleFile(m, "/nonexistent/path.model", &error));
     EXPECT_FALSE(error.empty());
+}
+
+/** Saved text of a 2x3 Linear whose weights are @p values. */
+std::string
+savedWith(const std::vector<double> &values)
+{
+    Rng rng(4);
+    Linear l(2, 3, rng, "l");
+    Tensor w = l.parameters()[0].second;
+    for (size_t i = 0; i < values.size(); ++i)
+        w.raw()->data[i] = values[i];
+    std::ostringstream os;
+    saveModule(l, "edge", os);
+    return os.str();
+}
+
+TEST(NnSerialize, RoundTripsExtremeValuesBitExactly)
+{
+    const std::vector<double> values = {
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max(),
+        -0.0,
+        0.1,
+        1.0 / 3.0};
+    const std::string text = savedWith(values);
+    Rng rng(5);
+    Linear l(2, 3, rng, "l");
+    std::string error;
+    ASSERT_TRUE(loadModule(l, text, &error)) << error;
+    const auto &got = l.parameters()[0].second.raw()->data;
+    for (size_t i = 0; i < values.size(); ++i)
+        EXPECT_EQ(std::memcmp(&got[i], &values[i], sizeof(double)), 0)
+            << "value " << i;
+}
+
+TEST(NnSerialize, RoundTripsRandomBitPatternsBitExactly)
+{
+    // Finite doubles drawn from random bit patterns: every exponent,
+    // subnormals included, written by saveModule and read back.
+    Rng rng(10);
+    Linear a(40, 25, rng, "l");
+    auto &data = a.parameters()[0].second.raw()->data;
+    for (double &v : data) {
+        do {
+            const uint64_t bits = rng.raw()();
+            std::memcpy(&v, &bits, sizeof(v));
+        } while (!std::isfinite(v));
+    }
+    std::ostringstream os;
+    saveModule(a, "bits", os);
+    Linear b(40, 25, rng, "l");
+    std::string error;
+    ASSERT_TRUE(loadModule(b, os.str(), &error)) << error;
+    const auto &got = b.parameters()[0].second.raw()->data;
+    ASSERT_EQ(got.size(), data.size());
+    EXPECT_EQ(std::memcmp(got.data(), data.data(),
+                          data.size() * sizeof(double)),
+              0);
+}
+
+TEST(NnSerialize, RejectsNonFiniteOutOfRangeAndNonNumericValues)
+{
+    const std::string good = savedWith({1, 2, 3, 4, 5, 6});
+    const size_t at = good.find("\n", good.find("param l.w ")) + 1;
+    const size_t end = good.find_first_of(" \n", at);
+    for (const char *bad : {"nan", "inf", "-inf", "infinity", "1e999",
+                            "-1e999", "1e-999", "abc", "1.5x", "0x10",
+                            "--1", ""}) {
+        std::string text = good;
+        text.replace(at, end - at, bad);
+        Rng rng(6);
+        Linear l(2, 3, rng, "l");
+        std::string error;
+        EXPECT_FALSE(loadModule(l, text, &error)) << "token '" << bad << "'";
+    }
+}
+
+TEST(NnSerialize, RejectsFileCutAtAnyByte)
+{
+    Rng rng(7);
+    Mlp a(3, 4, 1, rng, "m");
+    std::ostringstream os;
+    saveModule(a, "cut", os);
+    const std::string text = os.str();
+    Rng rng2(8);
+    Mlp b(3, 4, 1, rng2, "m");
+    for (size_t n = 0; n < text.size(); ++n) {
+        EXPECT_FALSE(loadModule(b, std::string_view(text).substr(0, n)))
+            << "cut at byte " << n << " of " << text.size();
+    }
+    std::string error;
+    EXPECT_TRUE(loadModule(b, text, &error)) << error;
+}
+
+TEST(NnSerialize, RejectsImpossibleValueCount)
+{
+    Rng rng(9);
+    Linear l(2, 2, rng, "l");
+    std::string error;
+    EXPECT_FALSE(loadModule(
+        l, "lisa-model x\nparam l.w 2000000000 2000000000\n1\n",
+        &error));
+    EXPECT_NE(error.find("truncated"), std::string::npos) << error;
 }
 
 } // namespace

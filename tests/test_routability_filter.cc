@@ -70,23 +70,6 @@ labelsFor(const dfg::Dfg &g)
     return core::initialLabels(g, an);
 }
 
-std::string
-searchText(map::Mapper &mapper, const dfg::Dfg &dfg,
-           arch::ArchContext &ctx, int threads, map::SearchResult *out)
-{
-    map::SearchOptions opts;
-    opts.perIiBudget = 2.0;
-    opts.totalBudget = 8.0;
-    opts.seed = 11;
-    opts.threads = threads;
-    auto r = map::searchMinIi(mapper, dfg, ctx, opts);
-    if (out != nullptr)
-        *out = r;
-    if (!r.success || !r.mapping.has_value())
-        return "";
-    return verify::mappingToText(*r.mapping);
-}
-
 /**
  * One fixed-II tryMap job, seeded as searchMinIi seeds that II
  * (Rng(seed).split(ii)), on one attempt stream, under a cap far above its
@@ -265,37 +248,40 @@ TEST(RoutabilityFilter, OnModeTier0RulesMatchRouterExactly)
     // threshold -inf disables the learned tier, leaving only the
     // provable structural rules — which reject precisely the calls the
     // router would fail on its own structural check. `on` mode must
-    // therefore stay bit-identical to off while skipping real work.
+    // therefore stay bit-identical to off while skipping real work. One
+    // fixed-II job (see tryMapText), so no wall-clock budget decides how
+    // many calls either mode makes.
     arch::CgraArch accel(arch::baselineCgra(4, 4));
     arch::ArchContext ctx(accel, "");
     ctx.setRoutabilityModel(makeModel(-1e9, ctx.fingerprint()));
     auto w = workloads::workloadByName("atax");
+    const dfg::Analysis an(w.dfg);
 
     std::string off_text;
-    map::SearchResult off_result;
+    map::MapperStats off_stats;
     {
         ModeGuard guard(map::RoutabilityMode::Off);
         map::SaMapper sa;
-        off_text = searchText(sa, w.dfg, ctx, 1, &off_result);
+        off_text = tryMapText(sa, w.dfg, an, ctx, 2, &off_stats);
     }
     ASSERT_FALSE(off_text.empty());
 
     std::string on_text;
-    map::SearchResult on_result;
+    map::MapperStats on_stats;
     {
         ModeGuard guard(map::RoutabilityMode::On);
         map::SaMapper sa;
-        on_text = searchText(sa, w.dfg, ctx, 1, &on_result);
+        on_text = tryMapText(sa, w.dfg, an, ctx, 2, &on_stats);
     }
     EXPECT_EQ(off_text, on_text);
-    EXPECT_GT(on_result.stats.router.filterQueries, 0u);
-    EXPECT_GT(on_result.stats.router.filterRejects, 0u);
+    EXPECT_GT(on_stats.router.filterQueries, 0u);
+    EXPECT_GT(on_stats.router.filterRejects, 0u);
     // Provable rejects are never shadow-routed and never false.
-    EXPECT_EQ(on_result.stats.router.filterShadowRoutes, 0u);
-    EXPECT_EQ(on_result.stats.router.filterFalseRejects, 0u);
+    EXPECT_EQ(on_stats.router.filterShadowRoutes, 0u);
+    EXPECT_EQ(on_stats.router.filterFalseRejects, 0u);
     // Every reject skipped a router invocation the off run paid for.
-    EXPECT_LT(on_result.stats.router.routeEdgeCalls,
-              off_result.stats.router.routeEdgeCalls);
+    EXPECT_LT(on_stats.router.routeEdgeCalls,
+              off_stats.router.routeEdgeCalls);
 }
 
 TEST(RoutabilityFilter, ExactMapperFailClosedUnderAlwaysRejectModel)

@@ -159,6 +159,8 @@ TEST(MapperStats, MergeIsAssociative)
         s.router.routeSeconds = secs;
         s.movesCommitted = base + 1;
         s.movesRolledBack = base + 2;
+        s.movesEarlyRejected = base + 1;
+        s.routeCallsSkipped = base * 19;
         s.restarts = base % 5;
         s.initSeconds = secs * 0.5;
         s.moveSeconds = secs * 2.0;
@@ -192,6 +194,8 @@ TEST(MapperStats, JsonHasEveryCounter)
     MapperStats s;
     s.router.routeEdgeCalls = 42;
     s.restarts = 7;
+    s.movesEarlyRejected = 5;
+    s.routeCallsSkipped = 23;
     const std::string j = s.toJson();
     EXPECT_NE(j.find("\"routeEdgeCalls\":42"), std::string::npos);
     EXPECT_NE(j.find("\"restarts\":7"), std::string::npos);
@@ -200,6 +204,8 @@ TEST(MapperStats, JsonHasEveryCounter)
     EXPECT_NE(j.find("\"dpCellsSkipped\":0"), std::string::npos);
     EXPECT_NE(j.find("\"oracleBuilds\":0"), std::string::npos);
     EXPECT_NE(j.find("\"oracleHits\":0"), std::string::npos);
+    EXPECT_NE(j.find("\"movesEarlyRejected\":5"), std::string::npos);
+    EXPECT_NE(j.find("\"routeCallsSkipped\":23"), std::string::npos);
     EXPECT_NE(j.find("\"mapSeconds\":0"), std::string::npos);
 }
 
