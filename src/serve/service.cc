@@ -29,7 +29,8 @@ ServeStats::toJson() const
     os << "{\"requests\":" << requests << ",\"hits\":" << hits
        << ",\"misses\":" << misses << ",\"coalesced\":" << coalesced
        << ",\"searches\":" << searches
-       << ",\"verifyFailures\":" << verifyFailures << "}";
+       << ",\"verifyFailures\":" << verifyFailures
+       << ",\"persistFailures\":" << persistFailures << "}";
     return os.str();
 }
 
@@ -55,9 +56,14 @@ MappingService::MappingService(ServeConfig config)
     : cfg(std::move(config)), search(portfolioSearch)
 {
     if (!cfg.cacheFile.empty()) {
-        if (store.load(cfg.cacheFile))
+        // An unclean load (torn tail, bad record, old format) keeps the
+        // valid prefix; the cache then compacts on the first append, so
+        // no new record lands behind the bad bytes.
+        const bool clean = store.load(cfg.cacheFile);
+        if (store.size() > 0)
             inform("lisa-serve: warm-started ", store.size(),
-                   " cache entries from ", cfg.cacheFile);
+                   " cache entries from ", cfg.cacheFile,
+                   clean ? "" : " (dropped a bad tail)");
     }
     if (cfg.maxInflight < 1)
         cfg.maxInflight = 1;
@@ -65,7 +71,8 @@ MappingService::MappingService(ServeConfig config)
 
 MappingService::~MappingService()
 {
-    saveCache();
+    if (!saveCache())
+        warn("lisa-serve: cannot compact cache file ", cfg.cacheFile);
 }
 
 void
@@ -77,15 +84,7 @@ MappingService::setSearchFn(SearchFn fn)
 bool
 MappingService::saveCache()
 {
-    if (cfg.cacheFile.empty())
-        return true;
-    {
-        support::LockGuard lock(mu);
-        if (!dirty)
-            return true;
-        dirty = false;
-    }
-    return store.save(cfg.cacheFile);
+    return cfg.cacheFile.empty() || store.save(cfg.cacheFile);
 }
 
 ServeStats
@@ -309,14 +308,23 @@ MappingService::map(const MapRequest &req)
             flight->error = search_error;
             flight->mii = mii;
             inflight.erase(key);
-            if (result)
-                dirty = true;
         }
         admitCv.notify_one();
         flight->cv.notify_all();
-        // Persist eagerly so a crash after a successful search never
-        // loses the work (LSRV save is atomic and cheap at cache scale).
-        saveCache();
+        // Persist before replying, so a crash after a successful search
+        // never loses the work: one appended record, O(entry).
+        if (result && !cfg.cacheFile.empty() &&
+            !store.append(cfg.cacheFile, *result)) {
+            long failures = 0;
+            {
+                support::LockGuard lock(mu);
+                failures = ++counters.persistFailures;
+            }
+            if (failures == 1)
+                warn("lisa-serve: cannot write cache file ", cfg.cacheFile,
+                     "; results stay cached in memory only (counted in "
+                     "stats.persistFailures)");
+        }
     } else {
         out.coalesced = true;
     }

@@ -25,7 +25,9 @@
  *            concurrent identical requesters wait on the leader's result
  *            instead of searching. Leaders pass admission control first:
  *            at most maxInflight searches run at once, excess leaders
- *            queue. Successful results are inserted and persisted.
+ *            queue. A successful result is inserted, and the leader
+ *            appends its one LSRV record to the cache file before it
+ *            replies (serve/cache.hh; the file is compacted at shutdown).
  *
  * Determinism and seeds: the cache key is (canonical DFG, fabric
  * fingerprint, budget class) — deliberately *not* the request seed —
@@ -84,6 +86,9 @@ struct ServeStats
     long searches = 0;
     /** Cache entries evicted because their replay failed verification. */
     long verifyFailures = 0;
+    /** Searched results that could not be written to the cache file
+     *  (they are still cached in memory and served). */
+    long persistFailures = 0;
 
     std::string toJson() const;
 };
@@ -118,8 +123,9 @@ class MappingService
     /** Direct cache access (tests, tools). */
     MappingCache &cache() { return store; }
 
-    /** Persist the cache now (no-op without a cacheFile). @return false
-     *  on write failure. */
+    /** Compact the cache file now: rewrite it as one record per live
+     *  entry (no-op without a cacheFile). Runs at shutdown; the miss path
+     *  only appends. @return false on write failure. */
     bool saveCache();
 
   private:
@@ -173,8 +179,6 @@ class MappingService
     int runningSearches LISA_GUARDED_BY(mu) = 0;
     std::condition_variable_any admitCv;
     ServeStats counters LISA_GUARDED_BY(mu);
-    /** True when the cache changed since the last save. */
-    bool dirty LISA_GUARDED_BY(mu) = false;
 };
 
 } // namespace lisa::serve

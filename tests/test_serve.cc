@@ -1,8 +1,10 @@
 /**
  * @file
- * Serve-stack tests: cache store + LSRV persistence, MappingService
+ * Serve-stack tests: cache store + LSRV journal persistence (round trip,
+ * concurrent writers, failed writes, cut and flipped files), MappingService
  * request flow (miss -> verified hit, permutation variants, verify-on-hit
- * eviction, restart warm-start), the coalescing guarantee (N identical
+ * eviction, restart warm-start, one appended record per miss, torn-tail
+ * repair, counted write failures), the coalescing guarantee (N identical
  * concurrent misses -> exactly one search), and the ServeServer protocol
  * dispatch (socket-free via handleLine plus real socket round trips,
  * including the request line cap).
@@ -10,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -21,6 +24,7 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -34,6 +38,7 @@
 #include "serve/server.hh"
 #include "serve/service.hh"
 #include "support/json.hh"
+#include "support/random.hh"
 #include "verify/mapping_io.hh"
 
 namespace {
@@ -98,6 +103,43 @@ sampleEntry(uint64_t dfg_hash)
     e.winner = "SA";
     e.mappingText = "placeholder mapping bytes\n";
     return e;
+}
+
+/** Bytes one LSRV v2 record of @p e takes: u64 length, the payload
+ *  (two u64 key hashes, three length-prefixed strings, ii and mii as u32,
+ *  attempts and searchSeconds as u64) and a u64 checksum. */
+size_t
+recordBytes(const CacheEntry &e)
+{
+    return 8 + (8 + 8 + 8 + e.key.budgetKey.size() + 4 + 4 + 8 + 8 + 8 +
+                e.winner.size() + 8 + e.mappingText.size()) +
+           8;
+}
+
+constexpr size_t kHeaderBytes = 8; // "LSRV", u32 version
+
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+/** Inode of @p path: a tmp + rename rewrite gives the path a new one. */
+ino_t
+inodeOf(const std::string &path)
+{
+    struct stat st{};
+    EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+    return st.st_ino;
+}
+
+void
+writeBytes(const std::string &path, const std::string &content)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(content.data(), static_cast<std::streamsize>(content.size()));
 }
 
 TEST(MappingCache, InsertLookupErase)
@@ -196,6 +238,142 @@ TEST(MappingCache, LoadRejectsCorruptTruncatedAndWrongVersion)
     std::remove(path.c_str());
     MappingCache c4;
     EXPECT_FALSE(c4.load(path));
+}
+
+TEST(MappingCache, ConcurrentSavesAndAppendsStayLoadable)
+{
+    const std::string path = tempPath("lsrv_concurrent.lsrv");
+    std::remove(path.c_str());
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 30;
+
+    // Each writer inserts its own entries and persists every one, by a
+    // compaction or an append; saves and appends on one path interleave.
+    MappingCache cache;
+    {
+        std::vector<std::thread> writers;
+        for (int t = 0; t < kThreads; ++t)
+            writers.emplace_back([&, t] {
+                for (int i = 0; i < kPerThread; ++i) {
+                    auto entry = std::make_shared<CacheEntry>(
+                        sampleEntry(static_cast<uint64_t>(t * 1000 + i)));
+                    cache.insert(entry);
+                    if ((i + t) % 3 == 0)
+                        EXPECT_TRUE(cache.save(path));
+                    else
+                        EXPECT_TRUE(cache.append(path, *entry));
+                }
+            });
+        for (auto &w : writers)
+            w.join();
+    }
+
+    MappingCache loaded;
+    EXPECT_TRUE(loaded.load(path));
+    EXPECT_EQ(loaded.size(), static_cast<size_t>(kThreads * kPerThread));
+    for (int t = 0; t < kThreads; ++t)
+        for (int i = 0; i < kPerThread; ++i)
+            EXPECT_NE(loaded.lookup(CacheKey{
+                          static_cast<uint64_t>(t * 1000 + i), 0xabcdefULL,
+                          "fast"}),
+                      nullptr);
+    std::remove(path.c_str());
+}
+
+TEST(MappingCache, FailedAppendCompactsOnTheNextWrite)
+{
+    const std::string path = tempPath("lsrv_failed_append.lsrv");
+    std::filesystem::remove_all(path);
+    MappingCache cache;
+    auto first = std::make_shared<CacheEntry>(sampleEntry(1));
+    auto second = std::make_shared<CacheEntry>(sampleEntry(2));
+    cache.insert(first);
+    ASSERT_TRUE(cache.append(path, *first));
+    const std::string journal = readBytes(path);
+
+    // A write that fails (here: the path is briefly a directory) may
+    // have left a torn record behind, as a full disk would.
+    std::filesystem::remove(path);
+    std::filesystem::create_directory(path);
+    cache.insert(second);
+    EXPECT_FALSE(cache.append(path, *second));
+    std::filesystem::remove(path);
+    writeBytes(path, journal + std::string("\x40\0\0", 3));
+
+    // So the next write compacts instead of appending behind the tear.
+    ASSERT_TRUE(cache.append(path, *second));
+    MappingCache loaded;
+    EXPECT_TRUE(loaded.load(path));
+    EXPECT_EQ(loaded.size(), 2u);
+    std::remove(path.c_str());
+}
+
+TEST(MappingCache, CutOrFlippedJournalLoadsAVerifiedPrefix)
+{
+    const std::string path = tempPath("lsrv_fuzz.lsrv");
+    std::remove(path.c_str());
+    std::vector<CacheEntry> written;
+    MappingCache cache;
+    for (uint64_t h = 1; h <= 3; ++h) {
+        written.push_back(sampleEntry(h));
+        written.back().mappingText += std::string(h, 'x');
+        ASSERT_TRUE(cache.append(path, written.back()));
+    }
+    const std::string bytes = readBytes(path);
+    // ends[k] = file offset where record k ends.
+    std::vector<size_t> ends{kHeaderBytes};
+    for (const CacheEntry &e : written)
+        ends.push_back(ends.back() + recordBytes(e));
+    ASSERT_EQ(ends.back(), bytes.size());
+
+    // Loads @p content; checks it holds exactly the first @p prefix
+    // records, byte for byte, and reports a clean load iff @p clean.
+    const auto expect_prefix = [&](const std::string &content,
+                                   size_t prefix, bool clean,
+                                   const std::string &what) {
+        writeBytes(path, content);
+        MappingCache c;
+        EXPECT_EQ(c.load(path), clean) << what;
+        EXPECT_EQ(c.size(), prefix) << what;
+        for (size_t k = 0; k < written.size(); ++k) {
+            auto got = c.lookup(written[k].key);
+            if (k >= prefix) {
+                EXPECT_EQ(got, nullptr) << what;
+                continue;
+            }
+            ASSERT_NE(got, nullptr) << what;
+            EXPECT_EQ(got->mappingText, written[k].mappingText) << what;
+            EXPECT_EQ(got->attempts, written[k].attempts) << what;
+        }
+    };
+
+    // A file cut at every offset keeps the records wholly before the cut
+    // and is clean only when the cut falls on a record boundary.
+    for (size_t cut = 0; cut <= bytes.size(); ++cut) {
+        size_t prefix = 0;
+        while (prefix < written.size() && ends[prefix + 1] <= cut)
+            ++prefix;
+        const bool boundary =
+            std::find(ends.begin(), ends.end(), cut) != ends.end();
+        expect_prefix(bytes.substr(0, cut), prefix, boundary,
+                      "cut at " + std::to_string(cut));
+    }
+
+    // One flipped byte loses its own record and every one after it; a
+    // flip in the header loses them all.
+    Rng rng(2024);
+    for (int trial = 0; trial < 500; ++trial) {
+        const size_t at = rng.index(bytes.size());
+        std::string flipped = bytes;
+        flipped[at] = static_cast<char>(
+            flipped[at] ^ static_cast<char>(rng.uniformInt(1, 255)));
+        size_t prefix = 0;
+        while (at >= kHeaderBytes && ends[prefix + 1] <= at)
+            ++prefix;
+        expect_prefix(flipped, prefix, false,
+                      "flip at " + std::to_string(at));
+    }
+    std::remove(path.c_str());
 }
 
 TEST(MappingService, MissThenVerifiedHitAndPermutationVariant)
@@ -336,6 +514,139 @@ TEST(MappingService, CachePersistsAcrossRestart)
         EXPECT_EQ(service.stats().searches, 0);
     }
     std::remove(path.c_str());
+}
+
+/** A load -> add (x @p adds) -> store chain: distinct @p adds give
+ *  distinct cache keys. */
+std::string
+chainKernel(int adds)
+{
+    std::string text = "dfg chain\nnode 0 load\n";
+    for (int i = 1; i <= adds + 1; ++i) {
+        text += "node " + std::to_string(i) +
+                (i == adds + 1 ? " store\n" : " add\n");
+        text += "edge " + std::to_string(i - 1) + " " + std::to_string(i) +
+                "\n";
+    }
+    return text;
+}
+
+/** The cache key MappingService computes for kernelRequest(@p dfg_text). */
+CacheKey
+requestKey(const std::string &dfg_text)
+{
+    auto request_dfg = dfg::fromText(dfg_text);
+    EXPECT_TRUE(request_dfg.has_value());
+    auto accel = verify::accelFromSpec(kAccel);
+    arch::ArchContext context(*accel);
+    map::SearchOptions options;
+    options.perIiBudget = 1.0;
+    options.totalBudget = 2.0;
+    return CacheKey{dfg::canonicalHash(*request_dfg), context.fingerprint(),
+                    map::budgetClassKey(options)};
+}
+
+TEST(MappingService, MissAppendsOneRecord)
+{
+    const std::string path = tempPath("serve_append.lsrv");
+    const std::string copy = tempPath("serve_append_copy.lsrv");
+    std::remove(path.c_str());
+    ASSERT_TRUE(MappingCache().save(path)); // a header-only journal
+
+    ServeConfig cfg;
+    cfg.cacheFile = path;
+    MappingService service(cfg);
+    std::string before = readBytes(path);
+    ASSERT_EQ(before.size(), kHeaderBytes);
+    const ino_t inode = inodeOf(path);
+    for (int adds = 1; adds <= 4; ++adds) {
+        const std::string kernel = chainKernel(adds);
+        const MapOutcome out = service.map(kernelRequest(kernel.c_str()));
+        ASSERT_TRUE(out.ok) << out.error;
+        ASSERT_FALSE(out.cacheHit);
+        auto entry = service.cache().lookup(requestKey(kernel));
+        ASSERT_NE(entry, nullptr);
+
+        // The file grew by exactly this entry's record, in place: same
+        // inode, the bytes before it untouched.
+        const std::string after = readBytes(path);
+        EXPECT_EQ(after.size(), before.size() + recordBytes(*entry));
+        EXPECT_EQ(after.compare(0, before.size(), before), 0);
+        EXPECT_EQ(inodeOf(path), inode);
+        before = after;
+
+        // Durable before the reply: a copy taken now, with the service
+        // still alive, loads with the new entry in it.
+        writeBytes(copy, after);
+        MappingCache reloaded;
+        EXPECT_TRUE(reloaded.load(copy));
+        EXPECT_EQ(reloaded.size(), static_cast<size_t>(adds));
+        auto got = reloaded.lookup(entry->key);
+        ASSERT_NE(got, nullptr);
+        EXPECT_EQ(got->mappingText, entry->mappingText);
+    }
+    EXPECT_EQ(service.stats().persistFailures, 0);
+    std::remove(path.c_str());
+    std::remove(copy.c_str());
+}
+
+TEST(MappingService, RepairsTornJournalBeforeAppending)
+{
+    const std::string path = tempPath("serve_torn.lsrv");
+    const std::string copy = tempPath("serve_torn_copy.lsrv");
+    std::remove(path.c_str());
+    const std::string second = chainKernel(2);
+    {
+        ServeConfig cfg;
+        cfg.cacheFile = path;
+        MappingService service(cfg);
+        ASSERT_TRUE(service.map(kernelRequest()).ok);
+    }
+    // A crash mid-append leaves part of a record behind the last one.
+    writeBytes(path, readBytes(path) + std::string("\x40\0\0\0\0", 5));
+    {
+        ServeConfig cfg;
+        cfg.cacheFile = path;
+        MappingService service(cfg);
+        EXPECT_EQ(service.cache().size(), 1u);
+        const MapOutcome out = service.map(kernelRequest(second.c_str()));
+        ASSERT_TRUE(out.ok) << out.error;
+        EXPECT_FALSE(out.cacheHit);
+        // The file as a crash right now would leave it, before the
+        // shutdown compaction runs.
+        writeBytes(copy, readBytes(path));
+    }
+    ServeConfig cfg;
+    cfg.cacheFile = copy;
+    MappingService service(cfg);
+    EXPECT_EQ(service.cache().size(), 2u);
+    const MapOutcome first_hit = service.map(kernelRequest());
+    const MapOutcome second_hit = service.map(kernelRequest(second.c_str()));
+    EXPECT_TRUE(first_hit.cacheHit && first_hit.verified);
+    EXPECT_TRUE(second_hit.cacheHit && second_hit.verified);
+    EXPECT_EQ(service.stats().searches, 0);
+    std::remove(path.c_str());
+    std::remove(copy.c_str());
+}
+
+TEST(MappingService, CountsPersistFailures)
+{
+    const std::string dir = tempPath("serve_no_such_dir");
+    std::filesystem::remove_all(dir);
+    ServeConfig cfg;
+    cfg.cacheFile = dir + "/cache.lsrv";
+    MappingService service(cfg);
+
+    // The write fails, the request does not: the result is served and
+    // stays cached in memory.
+    const MapOutcome out = service.map(kernelRequest());
+    ASSERT_TRUE(out.ok) << out.error;
+    EXPECT_TRUE(out.verified);
+    EXPECT_TRUE(service.map(kernelRequest()).cacheHit);
+    const ServeStats stats = service.stats();
+    EXPECT_EQ(stats.persistFailures, 1);
+    EXPECT_NE(stats.toJson().find("\"persistFailures\":1"),
+              std::string::npos);
 }
 
 TEST(MappingService, CoalescesConcurrentIdenticalMisses)

@@ -105,7 +105,6 @@ main(int argc, char **argv)
     while (!g_signalled && !server.waitForShutdown(0.2)) {
     }
     server.stop();
-    service.saveCache();
     const serve::ServeStats stats = service.stats();
     inform("lisa-serve: exiting; ", stats.toJson());
     return 0;
