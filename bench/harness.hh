@@ -87,8 +87,8 @@ struct CompareResult
 /**
  * Get the shared per-accelerator arch-artifact cache (MRRGs, distance
  * oracles). Every mapper the harness runs — ILP*, SA, LISA — draws from
- * this one context, so a suite derives each table once and warm-starts
- * from disk when LISA_ARCH_CACHE is set. Lives for the process.
+ * this one context, so a suite derives each table once. Lives for the
+ * process.
  */
 arch::ArchContext &archContextFor(const arch::Accelerator &accel);
 

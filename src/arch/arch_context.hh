@@ -1,6 +1,6 @@
 /**
  * @file
- * ArchContext: shared, serializable cache of arch-derived artifacts.
+ * ArchContext: shared, in-memory cache of arch-derived artifacts.
  *
  * Everything the mapping stack derives from an Accelerator alone is
  * request-invariant: the CSR MRRG per II, the static-distance oracle
@@ -35,15 +35,6 @@
  * #PEs * II. Rotated values are exactly equal to a direct BFS, keeping
  * routing bit-identical (tests/test_arch_context.cc pins this).
  *
- * Warm start. A context serializes its canonical tables to a versioned
- * binary file ("LARC"): magic, format version, an accelerator content
- * fingerprint (FNV-1a over the PE grid, links, register counts, op
- * support, maxIi and mapping mode), the table payload, and a trailing
- * checksum. Load rejects any magic/version/fingerprint/size/checksum
- * mismatch and leaves the context cold. With LISA_ARCH_CACHE=<dir> set, a
- * context loads the file at construction and saves at destruction, so a
- * long-lived process warm-starts with oracleBuilds ~ 0.
- *
  * Threading: mrrgFor / oracleStoreFor take the context mutex; OracleStore
  * builds take the store mutex and publish through release stores; the
  * steady-state lookup path (hopTable / costTable / baseCosts) is lock-free
@@ -60,7 +51,7 @@
 #include <map>
 #include <memory>
 #include <span>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "arch/mrrg.hh"
@@ -153,10 +144,6 @@ class OracleStore
     void buildCanonicalHops(std::vector<int32_t> &tab, int pe)
         LISA_REQUIRES(mu);
     void buildCosts(std::vector<double> &tab, int pe) LISA_REQUIRES(mu);
-    /** Seed the canonical layer-0 slot for @p pe (warm start / tests). */
-    void seedCanonicalHops(int pe, std::vector<int32_t> table)
-        LISA_EXCLUDES(mu);
-    void seedCosts(int pe, std::vector<double> table) LISA_EXCLUDES(mu);
 
     std::shared_ptr<const Mrrg> graph;
     double fu;
@@ -194,14 +181,11 @@ class ArchContext
 {
   public:
     /**
-     * Build a context for @p accel. When @p cache_dir is non-empty the
-     * context loads its warm-start file from there at construction
-     * (best-effort) and saves at destruction. The default is the
-     * LISA_ARCH_CACHE environment knob ("" = no disk cache).
+     * Build a context for @p accel, which must outlive every lookup;
+     * destroying the context does not touch it. The second parameter is
+     * ignored: it remains only because perfbench/ still passes a string.
      */
-    explicit ArchContext(const Accelerator &accel,
-                         std::string cache_dir = envCacheDir());
-    ~ArchContext();
+    explicit ArchContext(const Accelerator &accel, std::string_view = {});
 
     ArchContext(const ArchContext &) = delete;
     ArchContext &operator=(const ArchContext &) = delete;
@@ -220,8 +204,8 @@ class ArchContext
 
     /**
      * The shared OracleStore for (@p mrrg, @p fu_cost, @p reg_cost),
-     * created on first request (seeded from the warm-start payload when
-     * one matches) and cached by MRRG uid. The store retains @p mrrg.
+     * created on first request and cached by MRRG uid. The store retains
+     * @p mrrg.
      */
     std::shared_ptr<OracleStore>
     oracleStoreFor(const std::shared_ptr<const Mrrg> &mrrg, double fu_cost,
@@ -234,13 +218,6 @@ class ArchContext
     {
         return arch->opCapablePes(op);
     }
-
-    /** @{ Warm-start (de)serialization. save() writes atomically
-     *  (tmp + rename); load() validates magic, version, fingerprint and
-     *  checksum and leaves the context unchanged on any mismatch. */
-    bool save(const std::string &path) const LISA_EXCLUDES(mu);
-    bool load(const std::string &path) LISA_EXCLUDES(mu);
-    /** @} */
 
     /** @{ Context-held routability admission model (see
      *  mapping/routability_filter.hh): one immutable copy per fabric,
@@ -256,24 +233,7 @@ class ArchContext
     bool claimRoutabilityLoad() LISA_EXCLUDES(mu);
     /** @} */
 
-    /** Path of this accelerator's cache file ("" without a cache dir). */
-    std::string cacheFilePath() const;
-
-    /** Value of the LISA_ARCH_CACHE environment knob ("" when unset). */
-    static std::string envCacheDir();
-
   private:
-    struct WarmBinding
-    {
-        int ii = 0;
-        double fu = 0.0;
-        double reg = 0.0;
-        /** Canonical layer-0 hop tables per PE; empty = absent. */
-        std::vector<std::vector<int32_t>> canonicalHops;
-        /** Spatial cost tables per PE; empty = absent. */
-        std::vector<std::vector<double>> costTables;
-    };
-
     struct StoreKey
     {
         uint64_t uid = 0;
@@ -290,23 +250,13 @@ class ArchContext
         }
     };
 
-    void seedFromWarm(OracleStore &store) LISA_REQUIRES(mu);
-
     const Accelerator *arch;
-    std::string dir;
     uint64_t fp;
-    // Snapshotted at construction so the destructor's save() never touches
-    // *arch: registry-held contexts (bench harness) are destroyed during
-    // static teardown, after a main()-local accelerator has already died.
-    std::string archName;
-    int archPes;
 
     mutable support::Mutex mu;
     std::map<int, std::shared_ptr<const Mrrg>> mrrgs LISA_GUARDED_BY(mu);
     std::map<StoreKey, std::shared_ptr<OracleStore>> stores
         LISA_GUARDED_BY(mu);
-    /** Loaded warm-start payload, not yet consumed. */
-    std::vector<WarmBinding> warm LISA_GUARDED_BY(mu);
     /** Routability admission model slot; see above. */
     std::shared_ptr<const map::RoutabilityModel> routability
         LISA_GUARDED_BY(mu);

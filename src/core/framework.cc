@@ -21,8 +21,6 @@ LisaFramework::LisaFramework(const arch::Accelerator &accel,
     if (cfg.archContext) {
         ctx = cfg.archContext;
     } else {
-        // Owned fallback: warm-starts from LISA_ARCH_CACHE when set, so a
-        // fresh process skips oracle/MRRG derivation entirely.
         ownedCtx = std::make_unique<arch::ArchContext>(accel);
         ctx = ownedCtx.get();
     }

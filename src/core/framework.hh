@@ -40,10 +40,9 @@ struct FrameworkConfig
     uint64_t seed = 7;
     LisaConfig mapper;
     /** Shared arch-artifact cache (MRRGs, distance-oracle tables). When
-     *  null the framework owns a private one whose warm-start directory
-     *  follows LISA_ARCH_CACHE; pass a context to share artifacts with
-     *  other consumers of the same accelerator. Must outlive the
-     *  framework. */
+     *  null the framework owns a private one; pass a context to share
+     *  artifacts with other consumers of the same accelerator. Must
+     *  outlive the framework. */
     arch::ArchContext *archContext = nullptr;
 };
 

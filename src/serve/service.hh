@@ -3,8 +3,7 @@
  * MappingService: the serve daemon's request brain, socket-free.
  *
  * One service owns the content-addressed result cache (serve/cache.hh),
- * a registry of ArchContexts keyed by accelerator spec (each warm-started
- * via LISA_ARCH_CACHE like every other long-lived holder), and the
+ * a registry of ArchContexts keyed by accelerator spec, and the
  * admission/coalescing machinery in front of the search. The socket
  * layer (serve/server.hh) and the bench load generator both drive this
  * class directly, so every protocol behavior is testable in-process.

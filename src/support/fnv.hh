@@ -7,8 +7,8 @@
  * canonical DFG hash (dfg/canonical.cc), and the serve result-cache
  * checksums (serve/cache.cc). Multi-byte integers are folded low byte
  * first, so a hash is stable across host endianness — required because
- * the LARC and LSRV warm-start files persist these values to disk and
- * validate them on load. Each fold consumes exactly the value's own
+ * the LSRV cache file and the model .meta files persist these values to
+ * disk and validate them on load. Each fold consumes exactly the value's own
  * width (i32 -> 4 bytes, u64 -> 8): widening a field changes every
  * downstream fingerprint and silently invalidates those files, so the
  * widths here are part of the on-disk format.

@@ -13,6 +13,19 @@ namespace lisa::verify {
 
 namespace {
 
+/** @{ Largest fabric a spec line may describe. Specs arrive from socket
+ *  requests and cache files, so every dimension is bounded before any
+ *  allocation. The largest fabric in the tree is an 8x8 CGRA with 4
+ *  registers per PE and configuration depth 24; these bounds leave
+ *  ample room above it. */
+constexpr int kMaxCgraDim = 32;
+constexpr int kMaxRegistersPerPe = 16;
+constexpr int kMaxConfigDepth = 64;
+constexpr int kMaxSystolicRows = 32;
+constexpr int kMinSystolicCols = 3;
+constexpr int kMaxSystolicCols = 32;
+/** @} */
+
 bool
 fail(std::string *error, const std::string &msg)
 {
@@ -59,8 +72,11 @@ accelFromSpec(const std::string &spec, std::string *error)
         std::string mem;
         if (!(ls >> cfg.rows >> cfg.cols >> cfg.registersPerPe >> mem >>
               cfg.configDepth) ||
-            cfg.rows < 1 || cfg.cols < 1 || cfg.registersPerPe < 0 ||
-            cfg.configDepth < 1 || (mem != "all" && mem != "left")) {
+            cfg.rows < 1 || cfg.rows > kMaxCgraDim || cfg.cols < 1 ||
+            cfg.cols > kMaxCgraDim || cfg.registersPerPe < 0 ||
+            cfg.registersPerPe > kMaxRegistersPerPe || cfg.configDepth < 1 ||
+            cfg.configDepth > kMaxConfigDepth ||
+            (mem != "all" && mem != "left")) {
             fail(error, "malformed cgra spec: " + spec);
             return nullptr;
         }
@@ -70,7 +86,8 @@ accelFromSpec(const std::string &spec, std::string *error)
     }
     if (kind == "systolic") {
         int rows = 0, cols = 0;
-        if (!(ls >> rows >> cols) || rows < 1 || cols < 3) {
+        if (!(ls >> rows >> cols) || rows < 1 || rows > kMaxSystolicRows ||
+            cols < kMinSystolicCols || cols > kMaxSystolicCols) {
             fail(error, "malformed systolic spec: " + spec);
             return nullptr;
         }

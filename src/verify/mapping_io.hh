@@ -54,7 +54,9 @@ std::string accelSpecOf(const arch::Accelerator &accel);
 
 /**
  * Parse an accelerator spec line produced by accelSpecOf(). Returns
- * nullptr (and fills @p error if non-null) on malformed input.
+ * nullptr (and fills @p error if non-null) on malformed input, including
+ * a fabric larger than the bounds in mapping_io.cc, which are checked
+ * before anything is allocated.
  */
 std::unique_ptr<arch::Accelerator> accelFromSpec(const std::string &spec,
                                                  std::string *error = nullptr);

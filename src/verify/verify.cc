@@ -1,8 +1,6 @@
 #include "verify/verify.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
@@ -405,20 +403,6 @@ verifyMapping(const dfg::Dfg &dfg, const arch::Mrrg &mrrg,
     if (options.requireComplete)
         checker.checkCompleteness();
     return std::move(checker.report);
-}
-
-bool
-validationEnabled()
-{
-#ifdef LISA_VALIDATE_MAPPINGS
-    return true;
-#else
-    static const bool enabled = [] {
-        const char *v = std::getenv("LISA_VALIDATE");
-        return v && *v && std::strcmp(v, "0") != 0;
-    }();
-    return enabled;
-#endif
 }
 
 void

@@ -116,13 +116,21 @@ VerifyReport verifyMapping(const dfg::Dfg &dfg, const arch::Mrrg &mrrg,
                            const VerifyOptions &options = {});
 
 /**
- * True when debug validation hooks are active: compiled in with
- * -DLISA_VALIDATE_MAPPINGS=ON, or requested at runtime with LISA_VALIDATE=1
- * in the environment. Mappers consult this before verifying at transaction
- * commits and acceptance points; the final-answer check in searchMinIi runs
- * unconditionally and does not consult it.
+ * True when debug validation hooks are compiled in (configure with
+ * -DLISA_VALIDATE_MAPPINGS=ON). Mappers consult this before verifying at
+ * transaction commits and acceptance points, so other builds compile those
+ * checks out; the final-answer check in searchMinIi runs unconditionally
+ * and does not consult it.
  */
-bool validationEnabled();
+constexpr bool
+validationEnabled()
+{
+#ifdef LISA_VALIDATE_MAPPINGS
+    return true;
+#else
+    return false;
+#endif
+}
 
 /**
  * Verify and panic() with the full report when any invariant is violated.

@@ -49,7 +49,7 @@ TEST(EvoMapper, SearchFindsLowIiForEasyKernel)
     SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 8.0;
-    arch::ArchContext ctx(c, "");
+    arch::ArchContext ctx(c);
     auto r = searchMinIi(evo, w.dfg, ctx, opts);
     ASSERT_TRUE(r.success);
     EXPECT_GE(r.ii, r.mii);

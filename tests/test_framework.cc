@@ -123,7 +123,7 @@ TEST_F(FrameworkTest, ModelCacheRejectsDifferentFabricSameName)
         std::ifstream in(meta_path);
         uint64_t fp = 0;
         ASSERT_TRUE(static_cast<bool>(in >> fp));
-        arch::ArchContext ctx_a(a, std::string());
+        arch::ArchContext ctx_a(a);
         EXPECT_EQ(fp, ctx_a.fingerprint());
         std::ofstream out(meta_path);
         out << fp << '\n';
@@ -153,7 +153,7 @@ TEST_F(FrameworkTest, ModelCacheRejectsDifferentFabricSameName)
     std::ifstream in(meta_path);
     uint64_t fp = 0;
     ASSERT_TRUE(static_cast<bool>(in >> fp));
-    arch::ArchContext ctx_b(b, std::string());
+    arch::ArchContext ctx_b(b);
     EXPECT_EQ(fp, ctx_b.fingerprint());
 }
 

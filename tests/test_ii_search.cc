@@ -67,7 +67,7 @@ TEST(SearchMinIi, FindsLowIiForEasyKernel)
     SearchOptions opts;
     opts.perIiBudget = 1.0;
     opts.totalBudget = 5.0;
-    arch::ArchContext ctx(c, "");
+    arch::ArchContext ctx(c);
     auto r = searchMinIi(sa, w.dfg, ctx, opts);
     ASSERT_TRUE(r.success);
     EXPECT_GE(r.ii, r.mii);
@@ -85,7 +85,7 @@ TEST(SearchMinIi, FailsOnUnsupportedOps)
     SaMapper sa;
     SearchOptions opts;
     opts.totalBudget = 1.0;
-    arch::ArchContext ctx(s, "");
+    arch::ArchContext ctx(s);
     auto r = searchMinIi(sa, trmm, ctx, opts);
     EXPECT_FALSE(r.success);
     EXPECT_EQ(r.ii, 0);
@@ -99,7 +99,7 @@ TEST(SearchMinIi, SpatialRejectsOversizedDfg)
     SaMapper sa;
     SearchOptions opts;
     opts.totalBudget = 1.0;
-    arch::ArchContext ctx(s, "");
+    arch::ArchContext ctx(s);
     auto r = searchMinIi(sa, w, ctx, opts);
     EXPECT_FALSE(r.success);
 }
@@ -112,7 +112,7 @@ TEST(SearchMinIi, RespectsTotalBudget)
     SearchOptions opts;
     opts.perIiBudget = 0.1;
     opts.totalBudget = 0.3;
-    arch::ArchContext ctx(c, "");
+    arch::ArchContext ctx(c);
     auto r = searchMinIi(sa, w.dfg, ctx, opts);
     EXPECT_LT(r.seconds, 2.0);
 }
@@ -144,7 +144,7 @@ TEST(SearchMinIi, SpatialZeroTotalBudgetSkipsMapper)
     SearchOptions opts;
     opts.perIiBudget = 5.0;
     opts.totalBudget = 0.0;
-    arch::ArchContext ctx(s, "");
+    arch::ArchContext ctx(s);
     auto r = searchMinIi(probe, g, ctx, opts);
     EXPECT_FALSE(r.success);
     EXPECT_TRUE(probe.budgets.empty());
@@ -167,7 +167,7 @@ TEST(SearchMinIi, SpatialHonorsStopFlag)
     opts.perIiBudget = 5.0;
     opts.totalBudget = 5.0;
     opts.stop = &stop;
-    arch::ArchContext ctx(s, "");
+    arch::ArchContext ctx(s);
     auto r = searchMinIi(probe, g, ctx, opts);
     EXPECT_FALSE(r.success);
     EXPECT_TRUE(probe.budgets.empty());
@@ -189,7 +189,7 @@ TEST(SearchMinIi, AttemptBudgetsClampedToRemainingTime)
     SearchOptions opts;
     opts.perIiBudget = 0.05;
     opts.totalBudget = 0.2;
-    arch::ArchContext ctx(c, "");
+    arch::ArchContext ctx(c);
     auto r = searchMinIi(probe, g, ctx, opts);
     EXPECT_FALSE(r.success);
     ASSERT_FALSE(probe.budgets.empty());
@@ -211,7 +211,7 @@ TEST(SearchMinIi, SpatialUnmappableReportsMiiZero)
     SaMapper sa;
     SearchOptions opts;
     opts.totalBudget = 1.0;
-    arch::ArchContext ctx(s, "");
+    arch::ArchContext ctx(s);
     auto r = searchMinIi(sa, trmm, ctx, opts);
     EXPECT_FALSE(r.success);
     EXPECT_EQ(r.mii, 0);
@@ -225,7 +225,7 @@ TEST(SearchMinIi, SpatialOversizedDfgReportsMiiZero)
     SaMapper sa;
     SearchOptions opts;
     opts.totalBudget = 1.0;
-    arch::ArchContext ctx(s, "");
+    arch::ArchContext ctx(s);
     auto r = searchMinIi(sa, w, ctx, opts);
     EXPECT_FALSE(r.success);
     EXPECT_EQ(r.mii, 0);
@@ -244,7 +244,7 @@ TEST(SearchMinIi, SpatialSecondsIncludeVerification)
     SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 4.0;
-    arch::ArchContext ctx(s, "");
+    arch::ArchContext ctx(s);
     auto r = searchMinIi(sa, gemm, ctx, opts);
     ASSERT_TRUE(r.success);
     EXPECT_TRUE(r.verified);
@@ -268,7 +268,7 @@ TEST(SearchMinIi, SpatialIncumbentDominationSkipsAttempt)
     opts.totalBudget = 5.0;
     opts.incumbent = &incumbent;
     opts.memberRank = 1;
-    arch::ArchContext ctx(s, "");
+    arch::ArchContext ctx(s);
     auto r = searchMinIi(probe, g, ctx, opts);
     EXPECT_FALSE(r.success);
     EXPECT_TRUE(probe.budgets.empty());
@@ -294,7 +294,7 @@ TEST(SearchMinIi, TemporalIncumbentBoundsSweep)
     opts.totalBudget = 5.0;
     opts.incumbent = &incumbent;
     opts.memberRank = 1;
-    arch::ArchContext ctx(c, "");
+    arch::ArchContext ctx(c);
     auto r = searchMinIi(probe, g, ctx, opts);
     EXPECT_FALSE(r.success);
     EXPECT_EQ(probe.budgets.size(), 1u);
@@ -339,7 +339,7 @@ TEST(BudgetClass, StampedIntoSearchResult)
     SearchOptions opts;
     opts.perIiBudget = 1.0;
     opts.totalBudget = 2.0;
-    arch::ArchContext ctx(c, "");
+    arch::ArchContext ctx(c);
     auto r = searchMinIi(sa, w.dfg, ctx, opts);
     EXPECT_EQ(r.budgetClass, BudgetClass::Fast);
 
@@ -347,7 +347,7 @@ TEST(BudgetClass, StampedIntoSearchResult)
     auto trmm = workloads::polybenchKernel(
         "trmm", workloads::KernelVariant::Streaming);
     opts.totalBudget = 1.0;
-    arch::ArchContext ctx2(s, "");
+    arch::ArchContext ctx2(s);
     auto fail = searchMinIi(sa, trmm, ctx2, opts);
     EXPECT_FALSE(fail.success);
     EXPECT_EQ(fail.budgetClass, BudgetClass::Fast);
@@ -362,7 +362,7 @@ TEST(SearchMinIi, MappedSystolicKernelHasIiOne)
     SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 4.0;
-    arch::ArchContext ctx(s, "");
+    arch::ArchContext ctx(s);
     auto r = searchMinIi(sa, gemm, ctx, opts);
     ASSERT_TRUE(r.success);
     EXPECT_EQ(r.ii, 1);

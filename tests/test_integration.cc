@@ -36,17 +36,17 @@ TEST(Integration, AllMappersAgreeGemmIsMappable)
     dfg::Analysis an(w.dfg);
 
     map::SaMapper sa;
-    arch::ArchContext ctx(c, "");
+    arch::ArchContext ctx(c);
     auto r_sa = map::searchMinIi(sa, w.dfg, ctx, quick());
     EXPECT_TRUE(r_sa.success);
 
     map::ExactMapper ex;
-    arch::ArchContext ctx2(c, "");
+    arch::ArchContext ctx2(c);
     auto r_ex = map::searchMinIi(ex, w.dfg, ctx2, quick());
     EXPECT_TRUE(r_ex.success);
 
     core::LisaMapper lm(core::initialLabels(w.dfg, an));
-    arch::ArchContext ctx3(c, "");
+    arch::ArchContext ctx3(c);
     auto r_lm = map::searchMinIi(lm, w.dfg, ctx3, quick());
     EXPECT_TRUE(r_lm.success);
 }
@@ -62,7 +62,7 @@ TEST_P(SuiteOnCgra, SaMapsWithinConfigDepth)
     arch::CgraArch c(arch::baselineCgra(rows, cols));
     auto w = workloads::workloadByName(name);
     map::SaMapper sa;
-    arch::ArchContext ctx(c, "");
+    arch::ArchContext ctx(c);
     auto r = map::searchMinIi(sa, w.dfg, ctx, quick(1.0, 6.0));
     ASSERT_TRUE(r.success) << name;
     EXPECT_GE(r.ii, r.mii);
@@ -116,7 +116,7 @@ TEST(Integration, SystolicStreamingSubsetMaps)
             name, workloads::KernelVariant::Streaming);
         dfg::Analysis an(g);
         core::LisaMapper lm(core::initialLabels(g, an), cfg);
-        arch::ArchContext ctx(s, "");
+        arch::ArchContext ctx(s);
         auto r = map::searchMinIi(lm, g, ctx, quick(2.0, 4.0));
         EXPECT_TRUE(r.success) << name;
     }
@@ -129,7 +129,7 @@ TEST(Integration, LisaMapsDenseKernelVanillaSaStrugglesWith)
     auto w = workloads::workloadByName("gemver");
     dfg::Analysis an(w.dfg);
     core::LisaMapper lm(core::initialLabels(w.dfg, an));
-    arch::ArchContext ctx(c, "");
+    arch::ArchContext ctx(c);
     auto r = map::searchMinIi(lm, w.dfg, ctx, quick(2.0, 12.0));
     EXPECT_TRUE(r.success);
 }
@@ -142,7 +142,7 @@ TEST(Integration, SaMedianOfThreeRunsIsStable)
     auto w = workloads::workloadByName("doitgen");
     for (uint64_t seed : {1u, 2u, 3u}) {
         map::SaMapper sa;
-        arch::ArchContext ctx(c, "");
+        arch::ArchContext ctx(c);
         auto r = map::searchMinIi(sa, w.dfg, ctx, quick(1.0, 4.0, seed));
         ASSERT_TRUE(r.success);
         EXPECT_TRUE(r.mapping->valid());

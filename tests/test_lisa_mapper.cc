@@ -29,7 +29,7 @@ TEST(LisaMapper, MapsGemmWithInitialLabels)
     map::SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 8.0;
-    arch::ArchContext ctx(c, "");
+    arch::ArchContext ctx(c);
     auto r = map::searchMinIi(mapper, w.dfg, ctx, opts);
     ASSERT_TRUE(r.success);
     EXPECT_TRUE(r.mapping->valid());
@@ -47,7 +47,7 @@ TEST(LisaMapper, PartialModeAlsoMaps)
     map::SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 8.0;
-    arch::ArchContext ctx(c, "");
+    arch::ArchContext ctx(c);
     auto r = map::searchMinIi(mapper, w.dfg, ctx, opts);
     ASSERT_TRUE(r.success);
     EXPECT_TRUE(r.mapping->valid());
@@ -62,7 +62,7 @@ TEST(LisaMapper, MapsOnSystolicArray)
     map::SearchOptions opts;
     opts.perIiBudget = 3.0;
     opts.totalBudget = 6.0;
-    arch::ArchContext ctx(s, "");
+    arch::ArchContext ctx(s);
     auto r = map::searchMinIi(mapper, gemm, ctx, opts);
     ASSERT_TRUE(r.success);
     EXPECT_EQ(r.ii, 1);
@@ -76,7 +76,7 @@ TEST(LisaMapper, UnsupportedOpFailsFast)
     LisaMapper mapper(labelsFor(trmm));
     map::SearchOptions opts;
     opts.totalBudget = 2.0;
-    arch::ArchContext ctx(s, "");
+    arch::ArchContext ctx(s);
     auto r = map::searchMinIi(mapper, trmm, ctx, opts);
     EXPECT_FALSE(r.success);
 }
@@ -102,7 +102,7 @@ TEST(LisaMapper, RespectsDependenciesInResult)
     map::SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 10.0;
-    arch::ArchContext ctx(c, "");
+    arch::ArchContext ctx(c);
     auto r = map::searchMinIi(mapper, w.dfg, ctx, opts);
     ASSERT_TRUE(r.success);
     const auto &m = *r.mapping;
@@ -123,7 +123,7 @@ TEST(LisaMapper, MemoryPolicyRespected)
     map::SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 10.0;
-    arch::ArchContext ctx(c, "");
+    arch::ArchContext ctx(c);
     auto r = map::searchMinIi(mapper, w.dfg, ctx, opts);
     ASSERT_TRUE(r.success);
     for (size_t v = 0; v < w.dfg.numNodes(); ++v) {

@@ -340,7 +340,7 @@ TEST(MapperGolden, SaAndLisaFixedIiUnchanged)
         {"mvt", 2, 0xaa63f042a0f50388ull, 0xd02c30a2bb835033ull},
     };
     arch::CgraArch accel(arch::baselineCgra(4, 4));
-    arch::ArchContext ctx(accel, "");
+    arch::ArchContext ctx(accel);
     for (const Job &job : jobs) {
         auto w = workloads::workloadByName(job.kernel);
         const dfg::Analysis an(w.dfg);

@@ -103,7 +103,7 @@ TEST_P(MapperProperty, SaMappingsSatisfyAllInvariants)
         opts.perIiBudget = 0.5;
         opts.totalBudget = 3.0;
         opts.seed = GetParam() + i;
-        arch::ArchContext ctx(c, "");
+        arch::ArchContext ctx(c);
         auto r = map::searchMinIi(sa, g, ctx, opts);
         if (r.success)
             checkMappingInvariants(*r.mapping);
@@ -125,7 +125,7 @@ TEST_P(MapperProperty, LisaMappingsSatisfyAllInvariants)
         opts.perIiBudget = 0.5;
         opts.totalBudget = 3.0;
         opts.seed = GetParam() + i;
-        arch::ArchContext ctx(c, "");
+        arch::ArchContext ctx(c);
         auto r = map::searchMinIi(lm, g, ctx, opts);
         if (r.success) {
             checkMappingInvariants(*r.mapping);
@@ -155,7 +155,7 @@ TEST_P(MapperProperty, CostIsZeroOveruseMonotone)
     map::SearchOptions opts;
     opts.perIiBudget = 0.5;
     opts.totalBudget = 3.0;
-    arch::ArchContext ctx(c, "");
+    arch::ArchContext ctx(c);
     auto r = map::searchMinIi(sa, g, ctx, opts);
     if (!r.success)
         return;

@@ -148,14 +148,14 @@ TEST(RoutabilityFilter, CorruptOrForeignModelsDisableFilter)
     {
         // Missing file: quiet no-op, and the claim is consumed exactly
         // once per context.
-        arch::ArchContext ctx(accel, "");
+        arch::ArchContext ctx(accel);
         EXPECT_FALSE(map::loadRoutabilityModel(ctx, dir));
         EXPECT_EQ(ctx.routabilityModel(), nullptr);
         EXPECT_FALSE(map::loadRoutabilityModel(ctx, dir));
     }
     {
         // Foreign fabric fingerprint: rejected, filter stays disabled.
-        arch::ArchContext ctx(accel, "");
+        arch::ArchContext ctx(accel);
         Rng rng(5);
         nn::Mlp mlp(map::RoutabilityModel::kFeatureCount, 4, 1, rng,
                     "routability");
@@ -166,7 +166,7 @@ TEST(RoutabilityFilter, CorruptOrForeignModelsDisableFilter)
     }
     {
         // Corrupt model payload under a well-formed meta: rejected.
-        arch::ArchContext ctx(accel, "");
+        arch::ArchContext ctx(accel);
         std::ofstream bad(dir + "/" + accel.name() + ".routability");
         bad << "lisa-model routability\nparam bogus 1 1\nnot-a-number\n";
         bad.close();
@@ -180,7 +180,7 @@ TEST(RoutabilityFilter, CorruptOrForeignModelsDisableFilter)
     }
     {
         // A matching fingerprint loads and installs.
-        arch::ArchContext ctx(accel, "");
+        arch::ArchContext ctx(accel);
         Rng rng(5);
         nn::Mlp mlp(map::RoutabilityModel::kFeatureCount, 4, 1, rng,
                     "routability");
@@ -203,7 +203,7 @@ TEST(RoutabilityFilter, StrictModeBitIdenticalToOffAcrossMappers)
     // Each mapper runs one fixed-II job (see tryMapText), so no
     // wall-clock budget decides where either mode's search stops.
     arch::CgraArch accel(arch::baselineCgra(4, 4));
-    arch::ArchContext ctx(accel, "");
+    arch::ArchContext ctx(accel);
     ctx.setRoutabilityModel(makeModel(1e9, ctx.fingerprint()));
     auto w = workloads::workloadByName("gemm");
     const dfg::Analysis an(w.dfg);
@@ -252,7 +252,7 @@ TEST(RoutabilityFilter, OnModeTier0RulesMatchRouterExactly)
     // fixed-II job (see tryMapText), so no wall-clock budget decides how
     // many calls either mode makes.
     arch::CgraArch accel(arch::baselineCgra(4, 4));
-    arch::ArchContext ctx(accel, "");
+    arch::ArchContext ctx(accel);
     ctx.setRoutabilityModel(makeModel(-1e9, ctx.fingerprint()));
     auto w = workloads::workloadByName("atax");
     const dfg::Analysis an(w.dfg);
@@ -296,7 +296,7 @@ TEST(RoutabilityFilter, ExactMapperFailClosedUnderAlwaysRejectModel)
     // pass degenerates to enumerating all placement prefixes, and it must
     // *complete* (not time out) for the rerun to be the thing under test.
     arch::CgraArch accel(arch::baselineCgra(4, 4));
-    arch::ArchContext ctx(accel, "");
+    arch::ArchContext ctx(accel);
     ctx.setRoutabilityModel(makeModel(1e9, ctx.fingerprint()));
     dfg::DfgBuilder b("c2");
     auto x = b.load("x");
@@ -347,7 +347,7 @@ TEST(RoutabilityFilter, CollectModeWritesLabeledSamples)
     const std::string path = "/tmp/lisa_routability_samples.txt";
     std::filesystem::remove(path);
     arch::CgraArch accel(arch::baselineCgra(4, 4));
-    arch::ArchContext ctx(accel, "");
+    arch::ArchContext ctx(accel);
     auto w = workloads::workloadByName("gemm");
 
     {

@@ -348,7 +348,7 @@ TEST(Router, ProvablyUnroutableImpliesFailure)
     int provable = 0;
     int routed = 0;
     for (const arch::CgraArch &accel : fabrics) {
-        arch::ArchContext ctx(accel, "");
+        arch::ArchContext ctx(accel);
         Rng model_rng(3);
         nn::Mlp mlp(RoutabilityModel::kFeatureCount, 4, 1, model_rng,
                     "routability");

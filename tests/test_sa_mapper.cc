@@ -136,9 +136,9 @@ TEST(SaMapperParallel, SameSeedAndThreadsReproducesSearchResult)
     opts.totalBudget = 8.0;
     opts.seed = 9;
     opts.threads = 2;
-    arch::ArchContext ctx(c, "");
+    arch::ArchContext ctx(c);
     auto r1 = searchMinIi(sa, w.dfg, ctx, opts);
-    arch::ArchContext ctx2(c, "");
+    arch::ArchContext ctx2(c);
     auto r2 = searchMinIi(sa, w.dfg, ctx2, opts);
     EXPECT_EQ(r1.success, r2.success);
     if (r1.success && r2.success) {
@@ -160,7 +160,7 @@ TEST(SaMapperParallel, AnyThreadCountYieldsValidMappings)
         opts.totalBudget = 8.0;
         opts.seed = 5;
         opts.threads = threads;
-        arch::ArchContext ctx(c, "");
+        arch::ArchContext ctx(c);
         auto r = searchMinIi(sa, w.dfg, ctx, opts);
         ASSERT_TRUE(r.success) << "threads=" << threads;
         ASSERT_TRUE(r.mapping.has_value());
@@ -181,7 +181,7 @@ TEST(SaMapperParallel, ExternalStopAbortsSearch)
     opts.totalBudget = 20.0;
     opts.threads = 2;
     opts.stop = &stop;
-    arch::ArchContext ctx(c, "");
+    arch::ArchContext ctx(c);
     auto r = searchMinIi(sa, w.dfg, ctx, opts);
     EXPECT_FALSE(r.success);
 }

@@ -446,6 +446,24 @@ TEST(MappingService, RejectsMalformedRequests)
     EXPECT_NE(o2.error.find("accel"), std::string::npos);
 }
 
+TEST(MappingService, RejectsOversizedAccelSpecBeforeBuildingIt)
+{
+    ServeConfig cfg;
+    cfg.cacheFile.clear();
+    MappingService service(cfg);
+
+    for (const char *spec : {"accel cgra 200000 200000 4 all 24",
+                             "accel cgra 33 33 4 all 24",
+                             "accel systolic 2147483647 2147483647"}) {
+        MapRequest req = kernelRequest();
+        req.accelSpec = spec;
+        const MapOutcome out = service.map(req);
+        EXPECT_FALSE(out.ok) << spec;
+        EXPECT_EQ(out.error.rfind("accel: ", 0), 0u) << out.error;
+    }
+    EXPECT_EQ(service.stats().misses, 0);
+}
+
 TEST(MappingService, VerifyOnHitEvictsCorruptEntriesAndResearches)
 {
     ServeConfig cfg;

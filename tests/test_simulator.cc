@@ -92,7 +92,7 @@ TEST(Simulator, SaMappedKernelsMatchReference)
         map::SearchOptions opts;
         opts.perIiBudget = 1.0;
         opts.totalBudget = 6.0;
-        arch::ArchContext ctx(c, "");
+        arch::ArchContext ctx(c);
         auto r = map::searchMinIi(sa, w.dfg, ctx, opts);
         ASSERT_TRUE(r.success) << name;
         std::string error;
@@ -110,7 +110,7 @@ TEST(Simulator, SystolicStreamingKernelMatchesReference)
     map::SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 4.0;
-    arch::ArchContext ctx(s, "");
+    arch::ArchContext ctx(s);
     auto r = map::searchMinIi(sa, gemm, ctx, opts);
     ASSERT_TRUE(r.success);
     auto result = sim::simulate(*r.mapping, 4);
@@ -165,7 +165,7 @@ TEST(Simulator, RecurrentKernelValuesAccumulate)
     map::SearchOptions opts;
     opts.perIiBudget = 1.0;
     opts.totalBudget = 6.0;
-    arch::ArchContext ctx(c, "");
+    arch::ArchContext ctx(c);
     auto r = map::searchMinIi(sa, w.dfg, ctx, opts);
     ASSERT_TRUE(r.success);
     auto one = sim::simulate(*r.mapping, 1);

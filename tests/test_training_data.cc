@@ -31,7 +31,7 @@ TEST(RefineLabels, ProducesConsistentLabels)
     TrainingDataConfig cfg = quickConfig();
     Rng rng(3);
     dfg::Dfg g = dfg::generateRandomDfg(cfg.generator, rng);
-    arch::ArchContext ctx(c, "");
+    arch::ArchContext ctx(c);
     auto refined = refineLabels(g, ctx, cfg, rng);
     ASSERT_TRUE(refined.has_value());
     dfg::Analysis an(g);
@@ -74,7 +74,7 @@ TEST(GenerateTrainingSet, ProducesAlignedSamples)
     arch::CgraArch c(arch::baselineCgra(4, 4));
     TrainingDataConfig cfg = quickConfig();
     Rng rng(5);
-    arch::ArchContext ctx(c, "");
+    arch::ArchContext ctx(c);
     auto samples = generateTrainingSet(ctx, cfg, rng);
     ASSERT_FALSE(samples.empty());
     for (const auto &s : samples) {
@@ -93,7 +93,7 @@ TEST(GenerateTrainingSet, SpatialArchRestrictsGenerator)
     TrainingDataConfig cfg = quickConfig();
     cfg.numDfgs = 4;
     Rng rng(7);
-    arch::ArchContext ctx(s, "");
+    arch::ArchContext ctx(s);
     auto samples = generateTrainingSet(ctx, cfg, rng);
     for (const auto &sample : samples)
         EXPECT_LE(sample.scheduleOrder.size(), 25u);

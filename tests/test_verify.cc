@@ -335,7 +335,7 @@ TEST(VerifyMappers, SaMapperOutputVerifiesClean)
     SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 10.0;
-    arch::ArchContext ctx(c, "");
+    arch::ArchContext ctx(c);
     auto r = searchMinIi(mapper, w.dfg, ctx, opts);
     ASSERT_TRUE(r.success);
     EXPECT_TRUE(r.verified);
@@ -352,7 +352,7 @@ TEST(VerifyMappers, LisaMapperOutputVerifiesClean)
     SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 10.0;
-    arch::ArchContext ctx(c, "");
+    arch::ArchContext ctx(c);
     auto r = searchMinIi(mapper, w.dfg, ctx, opts);
     ASSERT_TRUE(r.success);
     EXPECT_TRUE(r.verified);
@@ -371,7 +371,7 @@ TEST(VerifyMappers, ExactMapperOutputVerifiesClean)
     SearchOptions opts;
     opts.perIiBudget = 5.0;
     opts.totalBudget = 10.0;
-    arch::ArchContext ctx(c, "");
+    arch::ArchContext ctx(c);
     auto r = searchMinIi(mapper, graph, ctx, opts);
     ASSERT_TRUE(r.success);
     EXPECT_TRUE(r.verified);
@@ -388,7 +388,7 @@ TEST(VerifyIo, RoundTripPreservesMappingAndVerifiesClean)
     SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 10.0;
-    arch::ArchContext ctx(c, "");
+    arch::ArchContext ctx(c);
     auto r = searchMinIi(mapper, w.dfg, ctx, opts);
     ASSERT_TRUE(r.success);
 
@@ -416,7 +416,7 @@ TEST(VerifyIo, CorruptedTextSurvivesLoadAndFailsVerification)
     SearchOptions opts;
     opts.perIiBudget = 2.0;
     opts.totalBudget = 10.0;
-    arch::ArchContext ctx(c, "");
+    arch::ArchContext ctx(c);
     auto r = searchMinIi(mapper, w.dfg, ctx, opts);
     ASSERT_TRUE(r.success);
 
@@ -442,6 +442,57 @@ TEST(VerifyIo, CorruptedTextSurvivesLoadAndFailsVerification)
     ASSERT_TRUE(loaded.has_value()) << error;
     EXPECT_FALSE(verifyMapping(*loaded->dfg, *loaded->mrrg,
                                *loaded->mapping).ok());
+}
+
+// --- Accelerator spec bounds: specs come from sockets and cache files.
+
+TEST(VerifyIo, AccelSpecAcceptsTheSizeBounds)
+{
+    auto cgra = accelFromSpec("accel cgra 32 32 16 all 64");
+    ASSERT_NE(cgra, nullptr);
+    EXPECT_EQ(cgra->numPes(), 32 * 32);
+    EXPECT_EQ(cgra->maxIi(), 64);
+    EXPECT_NE(accelFromSpec("accel cgra 1 1 0 left 1"), nullptr);
+    EXPECT_NE(accelFromSpec("accel systolic 32 32"), nullptr);
+    EXPECT_NE(accelFromSpec("accel systolic 1 3"), nullptr);
+}
+
+TEST(VerifyIo, AccelSpecRejectsFabricsBeyondTheBounds)
+{
+    const char *oversized[] = {
+        "accel cgra 33 4 4 all 24",
+        "accel cgra 4 33 4 all 24",
+        "accel cgra 4 4 17 all 24",
+        "accel cgra 4 4 4 all 65",
+        "accel cgra 200000 200000 4 all 24",
+        "accel cgra 2147483647 2147483647 4 all 24",
+        "accel cgra 4 4 2147483647 all 24",
+        "accel cgra 4 4 4 all 2147483647",
+        "accel systolic 33 5",
+        "accel systolic 5 33",
+        "accel systolic 5 2",
+        "accel systolic 2147483647 2147483647",
+    };
+    for (const char *spec : oversized) {
+        std::string error;
+        EXPECT_TRUE(accelFromSpec(spec, &error) == nullptr) << spec;
+        EXPECT_NE(error.find("malformed"), std::string::npos) << spec;
+    }
+}
+
+TEST(VerifyIo, MappingTextWithOversizedSpecIsRejected)
+{
+    const std::string text = "lisa-mapping v1\n"
+                             "accel cgra 4096 4096 4 all 24\n"
+                             "ii 1\n"
+                             "dfg-begin\n"
+                             "dfg tiny\n"
+                             "node 0 load\n"
+                             "dfg-end\n"
+                             "end\n";
+    std::string error;
+    EXPECT_FALSE(mappingFromText(text, &error).has_value());
+    EXPECT_NE(error.find("malformed cgra spec"), std::string::npos) << error;
 }
 
 } // namespace

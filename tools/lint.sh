@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Zero-allocation and no-knob lint for the router hot path.
+# Zero-allocation and no-knob lint for the router hot path, plus the
+# allow-list of environment knobs the library reads.
 #
 # The inner routing loops (routeEdge and the structures it touches) must
 # not allocate: RouterWorkspace exists precisely so per-edge routing
@@ -13,7 +14,10 @@
 #      preceding line, or
 #   3. an environment read (getenv) appears in a hot-path file. A
 #      per-workspace or per-call knob is a second route path; process-
-#      wide knobs resolve once, in cold code.
+#      wide knobs resolve once, in cold code, or
+#   4. any getenv( under src/ reads something other than a string literal
+#      on the ENV_KNOBS list below. Adding a knob to the library means
+#      editing that list, in review.
 #
 # The allow marker is reserved for amortized workspace buffers whose
 # growth is tracked by RouterWorkspace::growthEvents and settles after
@@ -49,6 +53,14 @@ HOT_FILES=(
     src/arch/mrrg.hh
     src/serve/cache.hh
     src/serve/cache.cc
+)
+
+# Every environment variable the library reads. LISA_ROUTE_FILTER goes
+# with the learned routability tier.
+ENV_KNOBS=(
+    LISA_THREADS
+    LISA_SERVE_CACHE
+    LISA_ROUTE_FILTER
 )
 
 ALLOC_RE='(^|[^[:alnum:]_."])new[[:space:]]|std::make_unique|std::make_shared|[^[:alnum:]_]malloc[[:space:]]*\(|[^[:alnum:]_]calloc[[:space:]]*\(|[^[:alnum:]_]realloc[[:space:]]*\('
@@ -138,8 +150,21 @@ for f in "${HOT_FILES[@]}"; do
     fi
 done
 
+# Rule 4: the library reads only the listed environment knobs.
+knob_alt=$(IFS='|'; echo "${ENV_KNOBS[*]}")
+while IFS= read -r hit; do
+    [ -n "$hit" ] || continue
+    if ! printf '%s' "$hit" |
+         grep -qE "getenv[[:space:]]*\\([[:space:]]*\"($knob_alt)\"[[:space:]]*\\)"; then
+        echo "lint.sh: FAIL: environment read outside the knob list: $hit" >&2
+        echo "    (allowed: ${ENV_KNOBS[*]}; edit ENV_KNOBS to add one)" >&2
+        fail=1
+    fi
+done < <(grep -rnE "$ENV_RE" src)
+
 if [ "$fail" -ne 0 ]; then
     echo "lint.sh: router hot-path lint FAILED" >&2
     exit 1
 fi
-echo "lint.sh: router hot-path lint OK (${#HOT_FILES[@]} files)"
+echo "lint.sh: router hot-path lint OK (${#HOT_FILES[@]} files," \
+     "${#ENV_KNOBS[@]} env knobs)"

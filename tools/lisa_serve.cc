@@ -7,8 +7,7 @@
  *              [--threads N]
  *
  * Protocol: newline-delimited JSON (serve/proto.hh). The result cache
- * file defaults to the LISA_SERVE_CACHE environment knob; arch artifacts
- * warm-start through LISA_ARCH_CACHE as everywhere else. Prints
+ * file defaults to the LISA_SERVE_CACHE environment knob. Prints
  * "lisa-serve: ready on <socket>" once accepting, exits on SIGINT /
  * SIGTERM or a client {"op":"shutdown"}.
  */

@@ -41,8 +41,6 @@ writeDemo(const std::string &path)
 {
     using namespace lisa;
     arch::CgraArch accel(arch::baselineCgra(4, 4));
-    // Honors LISA_ARCH_CACHE: repeated demo runs warm-start the MRRG and
-    // oracle tables from disk.
     arch::ArchContext context(accel);
     const auto suite = workloads::polybenchSuite();
     map::SaMapper mapper;
