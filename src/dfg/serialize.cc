@@ -68,6 +68,10 @@ readText(std::istream &is, std::string *error)
             if (id != static_cast<int>(g.numNodes()))
                 return fail("line " + std::to_string(lineno) +
                             ": node ids must be dense and ascending");
+            if (g.numNodes() >= kMaxTextNodes)
+                return fail("line " + std::to_string(lineno) +
+                            ": more than " + std::to_string(kMaxTextNodes) +
+                            " nodes");
             ls >> name;
             g.addNode(opFromName(op), name);
         } else if (kind == "edge") {
@@ -82,6 +86,10 @@ readText(std::istream &is, std::string *error)
                 return fail("line " + std::to_string(lineno) +
                             ": edge endpoint out of range");
             }
+            if (g.numEdges() >= kMaxTextEdges)
+                return fail("line " + std::to_string(lineno) +
+                            ": more than " + std::to_string(kMaxTextEdges) +
+                            " edges");
             g.addEdge(src, dst, dist);
         } else {
             return fail("line " + std::to_string(lineno) +

@@ -22,6 +22,15 @@
 
 namespace lisa::dfg {
 
+/** @{ Largest DFG the text decoder accepts. DFG text arrives from
+ *  socket requests and mapping files, and canonicalization is
+ *  superlinear in the node count, so both counts are bounded as each
+ *  record is read. The largest kernel in the tree (symm unrolled by 4)
+ *  has 92 nodes and 108 edges; these bounds leave ample room above it. */
+constexpr size_t kMaxTextNodes = 512;
+constexpr size_t kMaxTextEdges = 2048;
+/** @} */
+
 /** Write @p dfg in the text format. */
 void writeText(const Dfg &dfg, std::ostream &os);
 
@@ -30,7 +39,8 @@ std::string toText(const Dfg &dfg);
 
 /**
  * Parse the text format. Returns std::nullopt (and fills @p error if
- * non-null) on malformed input.
+ * non-null) on malformed input, including more than kMaxTextNodes nodes
+ * or kMaxTextEdges edges.
  */
 std::optional<Dfg> readText(std::istream &is, std::string *error = nullptr);
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "support/fnv.hh"
+#include "verify/mapping_io.hh"
 
 namespace lisa::serve {
 
@@ -18,7 +19,40 @@ MappingCache::lookup(const CacheKey &key) const
     return it == entries.end() ? nullptr : it->second;
 }
 
-// lint:cold-begin(mutation and persistence; the hot path is lookup() above)
+// lint:cold-begin(mutation, decode and persistence; the hot path is lookup() above)
+
+std::optional<MappingReplay>
+MappingReplay::decode(const std::string &text)
+{
+    const auto loaded = verify::mappingFromText(text);
+    if (!loaded)
+        return std::nullopt;
+    const map::Mapping &mapping = *loaded->mapping;
+    const auto n = static_cast<dfg::NodeId>(loaded->dfg->numNodes());
+    const auto m = static_cast<dfg::EdgeId>(loaded->dfg->numEdges());
+
+    MappingReplay replay;
+    replay.accelSpec = verify::accelSpecOf(*loaded->accel);
+    replay.ii = loaded->mrrg->ii();
+    replay.placements.reserve(static_cast<size_t>(n));
+    for (dfg::NodeId v = 0; v < n; ++v) {
+        const map::Placement &p = mapping.placement(v);
+        if (!p.mapped())
+            return std::nullopt;
+        replay.placements.push_back(
+            {static_cast<int>(p.pe), static_cast<int>(p.time)});
+    }
+    replay.routeStart.reserve(static_cast<size_t>(m) + 1);
+    replay.routeStart.push_back(0);
+    for (dfg::EdgeId e = 0; e < m; ++e) {
+        if (!mapping.isRouted(e))
+            return std::nullopt;
+        const std::vector<int> &route = mapping.route(e);
+        replay.hops.insert(replay.hops.end(), route.begin(), route.end());
+        replay.routeStart.push_back(replay.hops.size());
+    }
+    return replay;
+}
 
 void
 MappingCache::insert(std::shared_ptr<const CacheEntry> entry)
@@ -170,6 +204,7 @@ parseRecord(std::string_view payload)
     entry->mappingText = r.str();
     if (r.bad || r.pos != payload.size())
         return nullptr;
+    entry->replay = MappingReplay::decode(entry->mappingText);
     return entry;
 }
 

@@ -11,8 +11,10 @@
  * Entries store the winning mapping as mapping_io.hh "lisa-mapping v1"
  * text *in canonical node numbering* — the search itself runs on the
  * canonical DFG, so one stored artifact serves every permutation variant
- * of the kernel. The service replays and verifies it per hit; the cache
- * itself only stores bytes and never trusts them.
+ * of the kernel — plus that text's one-time decode (MappingReplay),
+ * built when the entry is created or loaded. A hit replays the decode
+ * onto the context's shared MRRG, range-checks and verifies it; the
+ * cache stores the bytes and their decode and never trusts either.
  *
  * Persistence ("LSRV" v2) is an append-only journal: a header (magic,
  * format version) and then one self-delimiting record per stored entry,
@@ -36,7 +38,10 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "support/thread_annotations.hh"
 
@@ -60,6 +65,49 @@ struct CacheKey
     }
 };
 
+/**
+ * The one-time decode of a "lisa-mapping v1" text: what a hit needs to
+ * replay it onto a shared MRRG, in canonical ids. It owns no Accelerator,
+ * Mrrg or Dfg, so an entry stays small. Nothing in it is trusted: the
+ * service range-checks every PE, time and resource and verifies the
+ * replayed mapping on every hit.
+ */
+struct MappingReplay
+{
+    struct Slot
+    {
+        int pe = 0;
+        int time = 0;
+    };
+
+    /** verify::accelSpecOf() of the fabric the mapping targets. */
+    std::string accelSpec;
+    int ii = 0;
+    /** Canonical node v is placed at placements[v]. */
+    std::vector<Slot> placements;
+    /** Every route's hops back to back; canonical edge e's route is
+     *  hops[routeStart[e], routeStart[e + 1]). */
+    std::vector<int> hops;
+    std::vector<size_t> routeStart;
+
+    size_t numNodes() const { return placements.size(); }
+    size_t numEdges() const { return routeStart.size() - 1; }
+
+    std::span<const int>
+    route(size_t e) const
+    {
+        return std::span<const int>(hops).subspan(
+            routeStart[e], routeStart[e + 1] - routeStart[e]);
+    }
+
+    /** Decode @p text through verify::mappingFromText, the one parser
+     *  of the format. @return nullopt when the text does not parse or
+     *  leaves a node unplaced or an edge unrouted. This is the one place
+     *  cache entries are decoded: MappingCache::load() and the service's
+     *  miss path both call it on the text they persist. */
+    static std::optional<MappingReplay> decode(const std::string &text);
+};
+
 /** One cached search result (immutable once inserted). */
 struct CacheEntry
 {
@@ -71,8 +119,12 @@ struct CacheEntry
     double searchSeconds = 0.0;
     /** Winning portfolio member ("SA", "ILP*", ...). */
     std::string winner;
-    /** "lisa-mapping v1" text over the canonical DFG. */
+    /** "lisa-mapping v1" text over the canonical DFG (what LSRV
+     *  persists). */
     std::string mappingText;
+    /** MappingReplay::decode(mappingText); empty when the text does not
+     *  decode, and then the service treats the entry as unusable. */
+    std::optional<MappingReplay> replay;
 };
 
 /** Thread-safe content-addressed store of CacheEntries. */
@@ -114,8 +166,10 @@ class MappingCache
      *  compaction to hold it.
      *
      *  load() merges every record up to the first short or corrupt one
-     *  over the current content and returns true only when the whole
-     *  file was a clean journal. */
+     *  over the current content, decoding each entry's mapping text
+     *  once, and returns true only when the whole file was a clean
+     *  journal. A record whose text does not decode still loads (as an
+     *  entry with no replay), so its neighbours are kept. */
     bool save(const std::string &path) LISA_EXCLUDES(mu, fileMu);
     bool append(const std::string &path, const CacheEntry &entry)
         LISA_EXCLUDES(mu, fileMu);

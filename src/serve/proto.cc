@@ -7,40 +7,33 @@
 namespace lisa::serve {
 
 bool
-decodeMapRequest(const std::string &line, MapRequest &out, std::string *error)
+decodeMapRequest(const JsonValue &doc, MapRequest &out, std::string *error)
 {
-    std::string parse_error;
-    auto doc = jsonParse(line, &parse_error);
-    if (!doc) {
-        if (error)
-            *error = "bad json: " + parse_error;
-        return false;
-    }
-    if (!doc->isObject()) {
+    if (!doc.isObject()) {
         if (error)
             *error = "request must be a json object";
         return false;
     }
-    if (doc->str("op") != "map") {
+    if (doc.str("op") != "map") {
         if (error)
             *error = "not a map request";
         return false;
     }
-    out.dfgText = doc->str("dfg");
-    out.accelSpec = doc->str("accel");
+    out.dfgText = doc.str("dfg");
+    out.accelSpec = doc.str("accel");
     if (out.dfgText.empty() || out.accelSpec.empty()) {
         if (error)
             *error = "map request needs non-empty 'dfg' and 'accel'";
         return false;
     }
-    out.perIiBudget = doc->num("perIiBudget", out.perIiBudget);
-    out.totalBudget = doc->num("totalBudget", out.totalBudget);
+    out.perIiBudget = doc.num("perIiBudget", out.perIiBudget);
+    out.totalBudget = doc.num("totalBudget", out.totalBudget);
     if (out.perIiBudget <= 0.0 || out.totalBudget <= 0.0) {
         if (error)
             *error = "budgets must be positive";
         return false;
     }
-    const double seed = doc->num("seed", 1.0);
+    const double seed = doc.num("seed", 1.0);
     if (seed < 0.0) {
         if (error)
             *error = "seed must be non-negative";
@@ -48,6 +41,19 @@ decodeMapRequest(const std::string &line, MapRequest &out, std::string *error)
     }
     out.seed = static_cast<uint64_t>(seed);
     return true;
+}
+
+bool
+decodeMapRequest(const std::string &line, MapRequest &out, std::string *error)
+{
+    std::string parse_error;
+    const auto doc = jsonParse(line, &parse_error);
+    if (!doc) {
+        if (error)
+            *error = "bad json: " + parse_error;
+        return false;
+    }
+    return decodeMapRequest(*doc, out, error);
 }
 
 std::string

@@ -31,6 +31,10 @@
 
 #include <string>
 
+namespace lisa {
+struct JsonValue;
+} // namespace lisa
+
 namespace lisa::serve {
 
 /** A decoded "map" request. */
@@ -64,9 +68,13 @@ struct MapOutcome
 };
 
 /**
- * Decode one request line's "map" fields. @return false (and fills
- * @p error) when the line is not a well-formed map request.
+ * Decode the "map" fields of one parsed request. @return false (and
+ * fills @p error) when @p doc is not a well-formed map request.
  */
+bool decodeMapRequest(const JsonValue &doc, MapRequest &out,
+                      std::string *error);
+
+/** Parse one request line and decode it as above. */
 bool decodeMapRequest(const std::string &line, MapRequest &out,
                       std::string *error);
 

@@ -221,7 +221,7 @@ ServeServer::handleLine(const std::string &line)
     }
     if (op == "map") {
         MapRequest req;
-        if (!decodeMapRequest(line, req, &error))
+        if (!decodeMapRequest(*doc, req, &error))
             return encodeError(error);
         Stopwatch sw;
         const MapOutcome outcome = svc.map(req);

@@ -107,6 +107,7 @@ MappingService::archFor(const std::string &spec, std::string *error)
     if (it != archs.end())
         return it->second.get();
     auto entry = std::make_unique<ArchEntry>();
+    entry->spec = canonical_spec;
     entry->accel = std::move(accel);
     entry->context = std::make_unique<arch::ArchContext>(*entry->accel);
     ArchEntry *raw = entry.get();
@@ -119,45 +120,36 @@ MappingService::serveEntry(ArchEntry &arch, const dfg::Dfg &request_dfg,
                            const dfg::CanonicalDfg &canon,
                            const CacheEntry &entry, MapOutcome &out)
 {
-    std::string error;
-    auto loaded = verify::mappingFromText(entry.mappingText, &error);
-    if (!loaded)
+    if (!entry.replay)
         return false;
+    const MappingReplay &replay = *entry.replay;
     // The stored artifact must be shaped like this request's canonical
     // form; anything else is corruption (or an FNV collision) and the
     // entry is unusable.
-    if (loaded->dfg->numNodes() != request_dfg.numNodes() ||
-        loaded->dfg->numEdges() != request_dfg.numEdges())
-        return false;
-    if (verify::accelSpecOf(*loaded->accel) !=
-        verify::accelSpecOf(arch.context->accel()))
+    if (replay.numNodes() != request_dfg.numNodes() ||
+        replay.numEdges() != request_dfg.numEdges() ||
+        replay.accelSpec != arch.spec)
         return false;
 
-    const int ii = loaded->mrrg->ii();
-    auto mrrg = arch.context->mrrgFor(ii);
+    auto mrrg = arch.context->mrrgFor(replay.ii);
     map::Mapping translated(request_dfg, mrrg);
 
-    const auto n = static_cast<dfg::NodeId>(request_dfg.numNodes());
-    for (dfg::NodeId canon_v = 0; canon_v < n; ++canon_v) {
-        const map::Placement &p = loaded->mapping->placement(canon_v);
-        if (!p.mapped())
+    const int num_pes = arch.context->accel().numPes();
+    for (size_t canon_v = 0; canon_v < replay.numNodes(); ++canon_v) {
+        const MappingReplay::Slot &p = replay.placements[canon_v];
+        if (p.pe < 0 || p.pe >= num_pes || p.time < 0 ||
+            p.time >= translated.horizon())
             return false;
-        if (static_cast<int>(p.pe) < 0 ||
-            static_cast<int>(p.pe) >= arch.context->accel().numPes() ||
-            static_cast<int>(p.time) < 0 ||
-            static_cast<int>(p.time) >= translated.horizon())
-            return false;
-        translated.placeNode(canon.nodeOrder[canon_v], p.pe, p.time);
+        translated.placeNode(canon.nodeOrder[canon_v], PeId{p.pe},
+                             AbsTime{p.time});
     }
-    const auto m = static_cast<dfg::EdgeId>(request_dfg.numEdges());
-    for (dfg::EdgeId canon_e = 0; canon_e < m; ++canon_e) {
-        if (!loaded->mapping->isRouted(canon_e))
-            return false;
-        for (int res : loaded->mapping->route(canon_e))
+    for (size_t canon_e = 0; canon_e < replay.numEdges(); ++canon_e) {
+        const std::span<const int> route = replay.route(canon_e);
+        for (int res : route)
             if (res < 0 || res >= mrrg->numResources())
                 return false;
         translated.setRoute(canon.edgeOrder[canon_e],
-                            loaded->mapping->route(canon_e));
+                            std::vector<int>(route.begin(), route.end()));
     }
 
     // Verify-on-hit: the *served* bytes (translated to request ids, on
@@ -287,6 +279,10 @@ MappingService::map(const MapRequest &req)
                     entry->winner = res.winner;
                     entry->mappingText =
                         verify::mappingToText(*res.mapping);
+                    // Decode the bytes the append below persists, so
+                    // every answer comes from what a restart would load.
+                    entry->replay =
+                        MappingReplay::decode(entry->mappingText);
                     store.insert(entry);
                     result = std::move(entry);
                 } else {

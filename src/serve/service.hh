@@ -13,11 +13,13 @@
  *   parse DFG -> resolve ArchContext -> canonicalize (dfg/canonical.hh)
  *   -> key = (canonical hash, fabric fingerprint, budget class key)
  *   -> cache lookup
- *      hit:  replay the stored canonical mapping, translate to request
- *            node ids, re-verify with verify::verifyMapping; a failing
- *            replay evicts the entry and falls through to the miss path
- *            (verify-on-hit: no bytes are served that did not just pass
- *            the independent verifier).
+ *      hit:  replay the entry's decoded canonical mapping (decoded
+ *            once, when the entry was created or loaded) onto the
+ *            context's shared MRRG, translate to request node ids,
+ *            range-check and re-verify with verify::verifyMapping; an
+ *            undecodable entry or a failing replay evicts the entry and
+ *            falls through to the miss path (verify-on-hit: no bytes are
+ *            served that did not just pass the independent verifier).
  *      miss: coalesce — the first requester of a key becomes the leader
  *            and runs one PortfolioSearch on the *canonical* DFG (so the
  *            stored artifact serves all permutation variants); N-1
@@ -131,6 +133,9 @@ class MappingService
     /** One registered accelerator: the spec string owns both objects. */
     struct ArchEntry
     {
+        /** The normalized spec line (verify::accelSpecOf), the registry
+         *  key; a hit compares its replay's spec against it. */
+        std::string spec;
         std::unique_ptr<arch::Accelerator> accel;
         std::unique_ptr<arch::ArchContext> context;
     };
@@ -154,10 +159,12 @@ class MappingService
         LISA_EXCLUDES(mu);
 
     /**
-     * Replay @p entry against @p request_dfg: translate the canonical
-     * mapping through @p canon's tables, re-verify, and fill @p out.
-     * @return false when the entry is unusable (shape mismatch, replay
-     * rejection, verifier violation) — the caller evicts and re-searches.
+     * Replay @p entry against @p request_dfg: translate its decoded
+     * canonical mapping through @p canon's tables onto the context's
+     * MRRG, re-verify, and fill @p out. @return false when the entry is
+     * unusable (no decode, shape or fabric mismatch, out-of-range PE,
+     * time or resource, verifier violation) — the caller evicts and
+     * re-searches.
      */
     bool serveEntry(ArchEntry &arch, const dfg::Dfg &request_dfg,
                     const dfg::CanonicalDfg &canon, const CacheEntry &entry,

@@ -268,8 +268,9 @@ readMapping(std::istream &is, std::string *error)
                      "route: endpoint not placed yet in: " + line);
                 return std::nullopt;
             }
+            // hops is file-shaped: the path grows only by the hops
+            // actually read, never by reserving what the count promises.
             std::vector<int> path;
-            path.reserve(hops);
             for (size_t i = 0; i < hops; ++i) {
                 int res = -1;
                 if (!(ls >> res)) {

@@ -166,6 +166,15 @@ struct Checker
                targets.end();
     }
 
+    /** True when @p p names a PE and time the MRRG can index, i.e.
+     *  checkPlacements reported nothing out of range for it. */
+    bool
+    inRange(const map::Placement &p) const
+    {
+        return p.pe >= 0 && p.pe < mrrg.accel().numPes() && p.time >= 0 &&
+               p.time < mapping.horizon() && (temporal || p.time == 0);
+    }
+
     void checkPlacements();
     void checkRoutes();
     void checkRoute(dfg::EdgeId e);
@@ -182,19 +191,16 @@ Checker::checkPlacements()
         if (!mapping.isPlaced(v))
             continue;
         const map::Placement &p = mapping.placement(v);
-        bool in_range = true;
         if (p.pe < 0 || p.pe >= num_pes) {
             violate(ViolationKind::PeOutOfRange, "node ", v, " on PE ",
                     p.pe, ", array has ", num_pes);
-            in_range = false;
         }
         if (p.time < 0 || p.time >= mapping.horizon() ||
             (!temporal && p.time != 0)) {
             violate(ViolationKind::TimeOutOfRange, "node ", v, " at time ",
                     p.time, ", horizon ", mapping.horizon());
-            in_range = false;
         }
-        if (!in_range)
+        if (!inRange(p))
             continue;
         if (!mrrg.accel().supportsOp(p.pe, dfg.node(v).op)) {
             violate(ViolationKind::OpUnsupported, "node ", v, " (",
@@ -226,6 +232,11 @@ Checker::checkRoute(dfg::EdgeId e)
     }
     const map::Placement &src = mapping.placement(edge.src);
     const map::Placement &dst = mapping.placement(edge.dst);
+    // checkPlacements already reports an out-of-range endpoint, and the
+    // checks below index the MRRG by the endpoints' PE and time, so they
+    // would read out of bounds.
+    if (!inRange(src) || !inRange(dst))
+        return;
     const auto &path = mapping.route(e);
     const int num_resources = mrrg.numResources();
     const int ii = mrrg.ii();

@@ -103,6 +103,45 @@ TEST(Serialize, RejectsInvalidGraph)
     EXPECT_NE(error.find("invalid"), std::string::npos);
 }
 
+/** A load feeding a chain of adds, @p nodes nodes in all, with extra
+ *  load -> first-add edges up to @p edges edges. */
+std::string
+chainText(size_t nodes, size_t edges)
+{
+    std::string text = "dfg chain\nnode 0 load\n";
+    for (size_t v = 1; v < nodes; ++v)
+        text += "node " + std::to_string(v) + " add\n";
+    for (size_t v = 1; v < nodes; ++v)
+        text += "edge " + std::to_string(v - 1) + " " + std::to_string(v) +
+                "\n";
+    for (size_t e = nodes - 1; e < edges; ++e)
+        text += "edge 0 1\n";
+    return text;
+}
+
+TEST(Serialize, BoundsNodeAndEdgeCounts)
+{
+    std::string error;
+    auto at_bound = fromText(chainText(kMaxTextNodes, kMaxTextEdges), &error);
+    ASSERT_TRUE(at_bound.has_value()) << error;
+    EXPECT_EQ(at_bound->numNodes(), kMaxTextNodes);
+    EXPECT_EQ(at_bound->numEdges(), kMaxTextEdges);
+
+    EXPECT_FALSE(fromText(chainText(kMaxTextNodes + 1, kMaxTextNodes), &error)
+                     .has_value());
+    EXPECT_NE(error.find("more than " + std::to_string(kMaxTextNodes) +
+                         " nodes"),
+              std::string::npos)
+        << error;
+
+    EXPECT_FALSE(fromText(chainText(8, kMaxTextEdges + 1), &error)
+                     .has_value());
+    EXPECT_NE(error.find("more than " + std::to_string(kMaxTextEdges) +
+                         " edges"),
+              std::string::npos)
+        << error;
+}
+
 TEST(Serialize, DotContainsNodesAndRecurrenceStyle)
 {
     Dfg g = sample();

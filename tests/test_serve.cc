@@ -1,13 +1,15 @@
 /**
  * @file
  * Serve-stack tests: cache store + LSRV journal persistence (round trip,
- * concurrent writers, failed writes, cut and flipped files), MappingService
- * request flow (miss -> verified hit, permutation variants, verify-on-hit
+ * concurrent writers, failed writes, cut and flipped files, a record whose
+ * mapping text does not decode), MappingService request flow (miss ->
+ * verified hit, permutation variants, hit bytes equal to a from-text
+ * reference replay, concurrent hits on one decoded entry, verify-on-hit
  * eviction, restart warm-start, one appended record per miss, torn-tail
- * repair, counted write failures), the coalescing guarantee (N identical
- * concurrent misses -> exactly one search), and the ServeServer protocol
- * dispatch (socket-free via handleLine plus real socket round trips,
- * including the request line cap).
+ * repair, counted write failures, oversized requests), the coalescing
+ * guarantee (N identical concurrent misses -> exactly one search), and
+ * the ServeServer protocol dispatch (socket-free via handleLine plus real
+ * socket round trips, including the request line cap).
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -30,9 +33,12 @@
 #include <unistd.h>
 
 #include "arch/arch_context.hh"
+#include "arch/cgra.hh"
+#include "dfg/analysis.hh"
 #include "dfg/canonical.hh"
 #include "dfg/serialize.hh"
 #include "mappers/sa_mapper.hh"
+#include "mapping/ii_search.hh"
 #include "mapping/portfolio.hh"
 #include "serve/cache.hh"
 #include "serve/server.hh"
@@ -40,6 +46,7 @@
 #include "support/json.hh"
 #include "support/random.hh"
 #include "verify/mapping_io.hh"
+#include "workloads/registry.hh"
 
 namespace {
 
@@ -464,6 +471,24 @@ TEST(MappingService, RejectsOversizedAccelSpecBeforeBuildingIt)
     EXPECT_EQ(service.stats().misses, 0);
 }
 
+TEST(MappingService, RejectsOversizedDfgBeforeCanonicalizing)
+{
+    ServeConfig cfg;
+    cfg.cacheFile.clear();
+    MappingService service(cfg);
+
+    // A chain one node over the decoder's bound.
+    std::string text = "dfg big\nnode 0 load\n";
+    for (size_t v = 1; v <= dfg::kMaxTextNodes; ++v)
+        text += "node " + std::to_string(v) + " add\nedge " +
+                std::to_string(v - 1) + " " + std::to_string(v) + "\n";
+    const MapOutcome out = service.map(kernelRequest(text.c_str()));
+    EXPECT_FALSE(out.ok);
+    EXPECT_EQ(out.error.rfind("dfg: ", 0), 0u) << out.error;
+    EXPECT_NE(out.error.find("more than"), std::string::npos) << out.error;
+    EXPECT_EQ(service.stats().misses, 0);
+}
+
 TEST(MappingService, VerifyOnHitEvictsCorruptEntriesAndResearches)
 {
     ServeConfig cfg;
@@ -549,19 +574,255 @@ chainKernel(int adds)
     return text;
 }
 
-/** The cache key MappingService computes for kernelRequest(@p dfg_text). */
+/** The cache key MappingService computes for kernelRequest(@p dfg_text)
+ *  sent for the fabric @p accel_spec. */
 CacheKey
-requestKey(const std::string &dfg_text)
+requestKey(const std::string &dfg_text, const std::string &accel_spec = kAccel)
 {
     auto request_dfg = dfg::fromText(dfg_text);
     EXPECT_TRUE(request_dfg.has_value());
-    auto accel = verify::accelFromSpec(kAccel);
+    auto accel = verify::accelFromSpec(accel_spec);
     arch::ArchContext context(*accel);
     map::SearchOptions options;
     options.perIiBudget = 1.0;
     options.totalBudget = 2.0;
     return CacheKey{dfg::canonicalHash(*request_dfg), context.fingerprint(),
                     map::budgetClassKey(options)};
+}
+
+TEST(MappingCache, UndecodableRecordEvictsOnHit)
+{
+    const std::string path = tempPath("lsrv_undecodable.lsrv");
+    std::remove(path.c_str());
+    const std::string first = chainKernel(1);
+    const std::string middle = chainKernel(2);
+    const std::string last = chainKernel(3);
+
+    // Real entries for the neighbours, from a service's own miss path.
+    std::shared_ptr<const CacheEntry> before, after;
+    {
+        ServeConfig cfg;
+        cfg.cacheFile.clear();
+        MappingService service(cfg);
+        ASSERT_TRUE(service.map(kernelRequest(first.c_str())).ok);
+        ASSERT_TRUE(service.map(kernelRequest(last.c_str())).ok);
+        before = service.cache().lookup(requestKey(first));
+        after = service.cache().lookup(requestKey(last));
+    }
+    ASSERT_NE(before, nullptr);
+    ASSERT_NE(after, nullptr);
+    CacheEntry bad = *before;
+    bad.key = requestKey(middle);
+    bad.mappingText = "lisa-mapping v1\nnot a mapping\n";
+    bad.replay.reset();
+    {
+        MappingCache writer;
+        ASSERT_TRUE(writer.append(path, *before));
+        ASSERT_TRUE(writer.append(path, bad));
+        ASSERT_TRUE(writer.append(path, *after));
+    }
+
+    ServeConfig cfg;
+    cfg.cacheFile = path;
+    MappingService service(cfg);
+    // Its checksum holds, so the record loads beside its neighbours, as
+    // an entry with no decode.
+    ASSERT_EQ(service.cache().size(), 3u);
+    const auto loaded_bad = service.cache().lookup(bad.key);
+    ASSERT_NE(loaded_bad, nullptr);
+    EXPECT_FALSE(loaded_bad->replay.has_value());
+    EXPECT_TRUE(service.cache().lookup(before->key)->replay.has_value());
+    EXPECT_TRUE(service.cache().lookup(after->key)->replay.has_value());
+
+    // Its first hit evicts it and re-searches.
+    const MapOutcome out = service.map(kernelRequest(middle.c_str()));
+    ASSERT_TRUE(out.ok) << out.error;
+    EXPECT_FALSE(out.cacheHit);
+    EXPECT_TRUE(out.verified);
+    EXPECT_EQ(service.stats().verifyFailures, 1);
+    EXPECT_EQ(service.stats().searches, 1);
+
+    for (const std::string &kernel : {first, last}) {
+        const MapOutcome hit = service.map(kernelRequest(kernel.c_str()));
+        EXPECT_TRUE(hit.cacheHit && hit.verified) << hit.error;
+    }
+    const ServeStats stats = service.stats();
+    EXPECT_EQ(stats.hits, 2);
+    EXPECT_EQ(stats.verifyFailures, 1);
+    EXPECT_EQ(stats.searches, 1);
+    std::remove(path.c_str());
+}
+
+/** A cheap search backend for tests that warm many entries: one SA
+ *  attempt four IIs above the kernel's MII, where SA maps every fig9a
+ *  kernel within a second. */
+map::PortfolioResult
+slackSearch(const dfg::Dfg &dfg, arch::ArchContext &context,
+            const map::SearchOptions &)
+{
+    const dfg::Analysis analysis(dfg);
+    map::PortfolioResult res;
+    res.mii = map::minimumIi(dfg, analysis, context.accel());
+    res.ii = res.mii + 4;
+    res.winner = "SA";
+    res.attempts = 1;
+    map::SaMapper sa;
+    res.mapping = sa.tryMap(map::MapContext{
+        dfg, analysis, context.mrrgFor(res.ii), 120.0, Rng(1)});
+    res.success = res.mapping.has_value();
+    return res;
+}
+
+/** @p g with its nodes renumbered and its edges reordered by @p rng. */
+dfg::Dfg
+renumbered(const dfg::Dfg &g, Rng &rng)
+{
+    std::vector<dfg::NodeId> order(g.numNodes()); // order[new id] = old id
+    std::iota(order.begin(), order.end(), 0);
+    rng.shuffle(order);
+    std::vector<dfg::NodeId> new_id(g.numNodes());
+    for (size_t i = 0; i < order.size(); ++i)
+        new_id[static_cast<size_t>(order[i])] = static_cast<dfg::NodeId>(i);
+    dfg::Dfg out(g.name());
+    for (dfg::NodeId old_id : order)
+        out.addNode(g.node(old_id).op, g.node(old_id).name);
+    std::vector<dfg::EdgeId> edges(g.numEdges());
+    std::iota(edges.begin(), edges.end(), 0);
+    rng.shuffle(edges);
+    for (dfg::EdgeId e : edges) {
+        const dfg::Edge &edge = g.edge(e);
+        out.addEdge(new_id[static_cast<size_t>(edge.src)],
+                    new_id[static_cast<size_t>(edge.dst)],
+                    edge.iterDistance);
+    }
+    return out;
+}
+
+/** What a hit serves by re-parsing the stored text on every request:
+ *  parse @p stored, translate it to @p request's ids through its
+ *  canonical tables, and print it. */
+std::string
+referenceReplay(const std::string &stored, const dfg::Dfg &request)
+{
+    auto loaded = verify::mappingFromText(stored);
+    EXPECT_TRUE(loaded.has_value());
+    if (!loaded)
+        return "";
+    const dfg::CanonicalDfg canon = dfg::canonicalize(request);
+    map::Mapping translated(request, loaded->mrrg);
+    for (size_t v = 0; v < request.numNodes(); ++v) {
+        const map::Placement &p =
+            loaded->mapping->placement(static_cast<dfg::NodeId>(v));
+        translated.placeNode(canon.nodeOrder[v], p.pe, p.time);
+    }
+    for (size_t e = 0; e < request.numEdges(); ++e)
+        translated.setRoute(
+            canon.edgeOrder[e],
+            loaded->mapping->route(static_cast<dfg::EdgeId>(e)));
+    return verify::mappingToText(translated);
+}
+
+TEST(MappingService, HitBytesMatchReferenceReplay)
+{
+    const std::string path = tempPath("serve_reference.lsrv");
+    std::remove(path.c_str());
+    const std::string spec =
+        verify::accelSpecOf(arch::CgraArch(arch::baselineCgra(4, 4)));
+
+    // Every fig9a kernel, then 8 renumbered variants of it.
+    constexpr size_t kVariants = 8;
+    std::vector<MapRequest> requests;
+    Rng rng(7);
+    for (const workloads::Workload &w : workloads::polybenchSuite()) {
+        MapRequest req = kernelRequest();
+        req.accelSpec = spec;
+        req.dfgText = dfg::toText(w.dfg);
+        requests.push_back(req);
+        for (size_t k = 0; k < kVariants; ++k) {
+            req.dfgText = dfg::toText(renumbered(w.dfg, rng));
+            requests.push_back(req);
+        }
+    }
+
+    const auto expect_reference_bytes = [&](MappingService &service,
+                                            const std::string &when) {
+        for (const MapRequest &req : requests) {
+            const MapOutcome out = service.map(req);
+            ASSERT_TRUE(out.ok) << when << ": " << out.error;
+            EXPECT_TRUE(out.cacheHit && out.verified) << when;
+            const auto entry =
+                service.cache().lookup(requestKey(req.dfgText, spec));
+            ASSERT_NE(entry, nullptr) << when;
+            const auto request_dfg = dfg::fromText(req.dfgText);
+            ASSERT_TRUE(request_dfg.has_value());
+            EXPECT_EQ(out.mappingText,
+                      referenceReplay(entry->mappingText, *request_dfg))
+                << when << ", kernel " << request_dfg->name();
+        }
+        EXPECT_EQ(service.stats().verifyFailures, 0) << when;
+    };
+
+    size_t entries = 0;
+    {
+        ServeConfig cfg;
+        cfg.cacheFile = path;
+        MappingService service(cfg);
+        service.setSearchFn(slackSearch);
+        for (size_t k = 0; k < requests.size(); k += kVariants + 1) {
+            const MapOutcome warm = service.map(requests[k]);
+            ASSERT_TRUE(warm.ok) << warm.error;
+        }
+        entries = service.cache().size();
+        expect_reference_bytes(service, "before restart");
+    }
+    ServeConfig cfg;
+    cfg.cacheFile = path;
+    MappingService service(cfg);
+    ASSERT_EQ(service.cache().size(), entries);
+    expect_reference_bytes(service, "after restart");
+    EXPECT_EQ(service.stats().searches, 0);
+    std::remove(path.c_str());
+}
+
+TEST(MappingService, ConcurrentHitsShareOneReplay)
+{
+    constexpr int kThreads = 8;
+    constexpr int kHitsPerThread = 4;
+    ServeConfig cfg;
+    cfg.cacheFile.clear();
+    MappingService service(cfg);
+    const MapOutcome miss = service.map(kernelRequest());
+    ASSERT_TRUE(miss.ok) << miss.error;
+    const auto entry = service.cache().lookup(requestKey(kKernel));
+    ASSERT_NE(entry, nullptr);
+    ASSERT_TRUE(entry->replay.has_value());
+
+    std::vector<std::vector<MapOutcome>> outcomes(kThreads);
+    {
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t)
+            threads.emplace_back([&, t] {
+                const char *kernel = t % 2 ? kKernelPermuted : kKernel;
+                for (int i = 0; i < kHitsPerThread; ++i)
+                    outcomes[static_cast<size_t>(t)].push_back(
+                        service.map(kernelRequest(kernel)));
+            });
+        for (auto &t : threads)
+            t.join();
+    }
+    for (const auto &per_thread : outcomes)
+        for (const MapOutcome &out : per_thread) {
+            ASSERT_TRUE(out.ok) << out.error;
+            EXPECT_TRUE(out.cacheHit);
+            EXPECT_TRUE(out.verified);
+            EXPECT_EQ(out.ii, miss.ii);
+        }
+    // Every hit replayed the one decoded entry: none evicted or replaced it.
+    EXPECT_EQ(service.cache().lookup(requestKey(kKernel)), entry);
+    const ServeStats stats = service.stats();
+    EXPECT_EQ(stats.hits, kThreads * kHitsPerThread);
+    EXPECT_EQ(stats.verifyFailures, 0);
+    EXPECT_EQ(stats.searches, 1);
 }
 
 TEST(MappingService, MissAppendsOneRecord)

@@ -148,6 +148,22 @@ TEST_F(VerifyTest, CatchesTimeOutOfRange)
     EXPECT_NE(r.toString().find("node 2"), std::string::npos);
 }
 
+TEST_F(VerifyTest, OutOfRangeConsumerTimeSkipsItsRouteChecks)
+{
+    // Edge 1 (node 1 -> node 2) is routed, and its consumer moves past
+    // the horizon. The placement violation is the report: the route's
+    // checks, which index the MRRG by the endpoints, are skipped.
+    Mapping m = goodMapping();
+    ASSERT_TRUE(m.isRouted(1));
+    Access::placementOf(m, 2).time = AbsTime{m.horizon() + 5};
+    VerifyReport r = check(m);
+    ASSERT_TRUE(r.has(ViolationKind::TimeOutOfRange)) << r.toString();
+    EXPECT_NE(r.toString().find("node 2"), std::string::npos);
+    EXPECT_FALSE(r.has(ViolationKind::RouteLengthMismatch)) << r.toString();
+    EXPECT_FALSE(r.has(ViolationKind::RouteBrokenChain)) << r.toString();
+    EXPECT_FALSE(r.has(ViolationKind::RouteBadLastHop)) << r.toString();
+}
+
 TEST_F(VerifyTest, CatchesNegativeTime)
 {
     Mapping m = goodMapping();
@@ -493,6 +509,30 @@ TEST(VerifyIo, MappingTextWithOversizedSpecIsRejected)
     std::string error;
     EXPECT_FALSE(mappingFromText(text, &error).has_value());
     EXPECT_NE(error.find("malformed cgra spec"), std::string::npos) << error;
+}
+
+TEST(VerifyIo, RouteHopCountBeyondItsHopsIsRejected)
+{
+    // The hop count is file-shaped: it must not size an allocation
+    // before the hops it promises have been read.
+    for (const char *hops : {"3", "1000000000000", "4611686018427387903"}) {
+        const std::string text = std::string("lisa-mapping v1\n"
+                                             "accel cgra 4 4 4 all 24\n"
+                                             "ii 2\n"
+                                             "dfg-begin\n"
+                                             "dfg pair\n"
+                                             "node 0 load\n"
+                                             "node 1 store\n"
+                                             "edge 0 1\n"
+                                             "dfg-end\n"
+                                             "place 0 0 0\n"
+                                             "place 1 1 1\n"
+                                             "route 0 ") +
+                                 hops + " 17\nend\n";
+        std::string error;
+        EXPECT_FALSE(mappingFromText(text, &error).has_value()) << hops;
+        EXPECT_NE(error.find("missing hop"), std::string::npos) << error;
+    }
 }
 
 } // namespace
