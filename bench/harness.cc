@@ -22,21 +22,11 @@ namespace lisabench {
 
 namespace {
 
-bool
-fastMode()
-{
-    const char *v = std::getenv("LISA_BENCH_FAST");
-    return v && *v && std::string(v) != "0";
-}
-
-int
-saRuns()
-{
-    const char *v = std::getenv("LISA_SA_RUNS");
-    if (!v || !*v)
-        return 1;
-    return std::max(1, std::atoi(v));
-}
+/** Settings parsed from the command line by initBench. */
+bool g_fast = false;
+int g_saRuns = 1;
+std::string g_metricsOut;
+bool g_portfolio = false;
 
 std::string
 iiCell(const map::SearchResult &r)
@@ -45,35 +35,17 @@ iiCell(const map::SearchResult &r)
 }
 
 bool
-metricsToStderr()
-{
-    const char *v = std::getenv("LISA_METRICS");
-    return v && *v && std::string(v) != "0";
-}
-
-const char *
-metricsOutPath()
-{
-    const char *v = std::getenv("LISA_METRICS_OUT");
-    return (v && *v) ? v : nullptr;
-}
-
-bool
 metricsEnabled()
 {
-    return metricsToStderr() || metricsOutPath() != nullptr;
+    return !g_metricsOut.empty();
 }
 
-/** Write one JSON object to the metrics sinks (stderr and/or JSONL file). */
+/** Append one JSON object to the --metrics-out file (JSONL). */
 void
 emitMetricsLine(const std::string &line)
 {
-    if (metricsToStderr())
-        std::cerr << line << "\n";
-    if (const char *path = metricsOutPath()) {
-        std::ofstream f(path, std::ios::app);
-        f << line << "\n";
-    }
+    std::ofstream f(g_metricsOut, std::ios::app);
+    f << line << "\n";
 }
 
 std::string
@@ -130,8 +102,6 @@ portfolioJson(const std::string &accel, const std::string &kernel,
     return os.str();
 }
 
-bool g_portfolio = false;
-
 } // namespace
 
 void
@@ -144,6 +114,12 @@ initBench(int argc, char **argv)
             threads = std::max(1, std::atoi(argv[++i]));
         } else if (arg.rfind("--threads=", 0) == 0) {
             threads = std::max(1, std::atoi(arg.c_str() + 10));
+        } else if (arg == "--fast") {
+            g_fast = true;
+        } else if (arg == "--sa-runs" && i + 1 < argc) {
+            g_saRuns = std::max(1, std::atoi(argv[++i]));
+        } else if (arg == "--metrics-out" && i + 1 < argc) {
+            g_metricsOut = argv[++i];
         } else if (arg == "--portfolio") {
             g_portfolio = true;
         } else if (arg == "--collect-routability") {
@@ -155,12 +131,14 @@ initBench(int argc, char **argv)
             map::setRoutabilityMode(map::RoutabilityMode::Collect);
         } else {
             std::cerr << "[bench] ignoring unknown argument '" << arg
-                      << "' (supported: --threads N, --portfolio, "
+                      << "' (supported: --threads N, --fast, --sa-runs N, "
+                         "--metrics-out FILE, --portfolio, "
                          "--collect-routability[=FILE])\n";
         }
     }
     ThreadPool::setGlobalThreads(threads);
     std::cerr << "[bench] threads=" << threads
+              << (g_fast ? " fast=on" : "")
               << (g_portfolio ? " portfolio=on" : "") << "\n";
 }
 
@@ -179,7 +157,7 @@ portfolioEnabled()
 CompareOptions
 scaled(CompareOptions options)
 {
-    if (fastMode()) {
+    if (g_fast) {
         options.saPerIi /= 4;
         options.saTotal /= 4;
         options.ilpPerIi /= 4;
@@ -217,12 +195,12 @@ frameworkFor(const arch::Accelerator &accel)
     if (it == registry.end()) {
         core::FrameworkConfig cfg;
         cfg.archContext = &context;
-        cfg.trainingData.numDfgs = fastMode() ? 12 : 60;
+        cfg.trainingData.numDfgs = g_fast ? 12 : 60;
         cfg.trainingData.refinements = 4;
         cfg.trainingData.perIiBudget = 0.25;
         cfg.trainingData.totalBudget = 1.2;
         cfg.trainingData.threads = benchThreads();
-        cfg.training.epochs = fastMode() ? 40 : 120;
+        cfg.training.epochs = g_fast ? 40 : 120;
         cfg.cacheDir = "lisa_models";
         auto fw = std::make_unique<core::LisaFramework>(accel, cfg);
         std::cerr << "[bench] preparing LISA models for " << accel.name()
@@ -240,7 +218,7 @@ compareMappers(const arch::Accelerator &accel,
 {
     core::LisaFramework &fw = frameworkFor(accel);
     arch::ArchContext &context = fw.archContext();
-    const int runs = saRuns();
+    const int runs = g_saRuns;
     const int threads = benchThreads();
 
     Stopwatch wall;
@@ -252,7 +230,7 @@ compareMappers(const arch::Accelerator &accel,
         CompareResult row;
         row.kernel = w.name;
 
-        if (options.runIlp) {
+        {
             map::ExactMapper ilp;
             map::SearchOptions opts;
             opts.perIiBudget = options.ilpPerIi;
@@ -262,7 +240,7 @@ compareMappers(const arch::Accelerator &accel,
             suite_stats.merge(row.ilp.stats);
         }
 
-        if (options.runSa) {
+        {
             // Median of `runs` SA attempts, as the paper does for 3.
             std::vector<map::SearchResult> attempts;
             for (int r = 0; r < runs; ++r) {
@@ -307,10 +285,9 @@ compareMappers(const arch::Accelerator &accel,
         }
 
         if (g_portfolio) {
-            // Race the full member set (EVO rides on the SA budgets).
-            // Members run with inner threads = 1 for reproducibility
-            // while the standalone runs above use `threads` seed
-            // streams, so scale the wall budgets by `threads` to give
+            // Race the fixed LISA / SA / ILP* member set. Members run
+            // with inner threads = 1 for reproducibility while the
+            // standalone runs above use `threads` seed streams, so scale the wall budgets by `threads` to give
             // each member the same CPU-seconds per II attempt as its
             // standalone counterpart — dominated members are cancelled
             // by the incumbent, so the inflation rarely materializes.
@@ -322,12 +299,7 @@ compareMappers(const arch::Accelerator &accel,
             pc.sa.totalBudget = options.saTotal * cpu;
             pc.ilp.perIiBudget = options.ilpPerIi * cpu;
             pc.ilp.totalBudget = options.ilpTotal * cpu;
-            pc.evo.perIiBudget = options.saPerIi * cpu;
-            pc.evo.totalBudget = options.saTotal * cpu;
-            pc.lisa.seed = pc.sa.seed = pc.ilp.seed = pc.evo.seed =
-                options.seed;
-            pc.runSa = options.runSa;
-            pc.runIlp = options.runIlp;
+            pc.lisa.seed = pc.sa.seed = pc.ilp.seed = options.seed;
             row.portfolio = fw.compilePortfolio(w.dfg, pc);
             total_attempts += row.portfolio.attempts;
             suite_stats.merge(row.portfolio.stats);
@@ -347,12 +319,10 @@ compareMappers(const arch::Accelerator &accel,
         }
         std::cerr << "\n";
         if (metricsEnabled()) {
-            if (options.runIlp)
-                emitMetricsLine(searchResultJson(accel.name(), w.name,
-                                                 "ILP*", row.ilp));
-            if (options.runSa)
-                emitMetricsLine(searchResultJson(accel.name(), w.name, "SA",
-                                                 row.sa));
+            emitMetricsLine(
+                searchResultJson(accel.name(), w.name, "ILP*", row.ilp));
+            emitMetricsLine(
+                searchResultJson(accel.name(), w.name, "SA", row.sa));
             emitMetricsLine(searchResultJson(accel.name(), w.name, "LISA",
                                              row.lisa));
             if (g_portfolio) {

@@ -5,26 +5,25 @@
  * paper-style rows. LISA models are trained on demand and cached under
  * ./lisa_models so all bench binaries share the one-off training cost.
  *
- * Environment knobs:
- *  - LISA_BENCH_FAST=1  : quarter budgets (smoke-testing the harness)
- *  - LISA_SA_RUNS=n     : SA runs per combination (median reported;
- *                         default 1, the paper uses 3)
- *  - LISA_THREADS=n     : default parallelism when --threads is absent
- *  - LISA_METRICS=1     : dump per-kernel and per-suite mapper metrics
- *                         (MapperStats merged over all streams) as
- *                         one-line JSON objects on stderr
- *  - LISA_METRICS_OUT=f : append the same JSON lines to file f (JSONL);
- *                         works with or without LISA_METRICS
- *
  * Command-line flags (parse with initBench at the top of main):
- *  - --threads N : concurrent seed streams per II attempt; also sizes
- *                  the process-wide worker pool used by training-data
- *                  generation. Seed-splitting keeps a given
- *                  (seed, threads) pair reproducible.
- *  - --portfolio : additionally race LISA / SA / ILP* / EVO per kernel
- *                  with a shared best-II incumbent (PortfolioSearch) and
- *                  report the portfolio row; per-member attribution goes
- *                  to the metrics sinks as "portfolio_member" events.
+ *  - --threads N        : concurrent seed streams per II attempt; also
+ *                         sizes the process-wide worker pool used by
+ *                         training-data generation. Seed-splitting keeps
+ *                         a given (seed, threads) pair reproducible.
+ *                         Without it the library's LISA_THREADS default
+ *                         applies.
+ *  - --fast             : quarter budgets and a smaller training set
+ *                         (smoke-testing the harness)
+ *  - --sa-runs N        : SA runs per combination (median reported;
+ *                         default 1, the paper uses 3)
+ *  - --metrics-out FILE : append per-kernel and per-suite mapper metrics
+ *                         (MapperStats merged over all streams) to FILE
+ *                         as one JSON object per line (JSONL)
+ *  - --portfolio        : additionally race LISA / SA / ILP* per kernel
+ *                         with a shared best-II incumbent
+ *                         (PortfolioSearch) and report the portfolio row;
+ *                         per-member attribution goes to the metrics
+ *                         file as "portfolio_member" events.
  */
 
 #ifndef LISA_BENCH_HARNESS_HH
@@ -54,15 +53,13 @@ struct CompareOptions
     double lisaPerIi = 1.0;
     double lisaTotal = 6.0;
     uint64_t seed = 1;
-    bool runIlp = true;
-    bool runSa = true;
 };
 
-/** Apply LISA_BENCH_FAST scaling. */
+/** Apply --fast scaling. */
 CompareOptions scaled(CompareOptions options);
 
 /**
- * Parse common bench flags (--threads N) and configure the global
+ * Parse the common bench flags listed above and configure the global
  * thread pool. Call first thing in every figure binary's main().
  */
 void initBench(int argc, char **argv);
@@ -99,7 +96,7 @@ arch::ArchContext &archContextFor(const arch::Accelerator &accel);
  */
 core::LisaFramework &frameworkFor(const arch::Accelerator &accel);
 
-/** Run SA (median of LISA_SA_RUNS), ILP*, and LISA on every workload. */
+/** Run SA (median of --sa-runs), ILP*, and LISA on every workload. */
 std::vector<CompareResult>
 compareMappers(const arch::Accelerator &accel,
                const std::vector<workloads::Workload> &suite,

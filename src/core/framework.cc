@@ -6,7 +6,6 @@
 
 #include "arch/arch_context.hh"
 #include "mapping/routability_filter.hh"
-#include "mappers/evo_mapper.hh"
 #include "mappers/exact_mapper.hh"
 #include "mappers/sa_mapper.hh"
 #include "nn/serialize.hh"
@@ -195,15 +194,9 @@ LisaFramework::compilePortfolio(const dfg::Dfg &dfg,
                    std::make_unique<LisaMapper>(
                        predictLabels(dfg, analysis), cfg.mapper),
                    config.lisa);
-    if (config.runSa)
-        race.addMember("SA", std::make_unique<map::SaMapper>(),
-                       config.sa);
-    if (config.runIlp)
-        race.addMember("ILP*", std::make_unique<map::ExactMapper>(),
-                       config.ilp);
-    if (config.runEvo)
-        race.addMember("EVO", std::make_unique<map::EvoMapper>(),
-                       config.evo);
+    race.addMember("SA", std::make_unique<map::SaMapper>(), config.sa);
+    race.addMember("ILP*", std::make_unique<map::ExactMapper>(),
+                   config.ilp);
     return race.run(dfg);
 }
 

@@ -47,21 +47,16 @@ struct FrameworkConfig
 };
 
 /**
- * Member set and budgets for compilePortfolio. LISA always races at rank
- * 0 (its successes break II ties); the classic baselines and the
- * evolutionary explorer are individually optional. Each member's
- * SearchOptions carries its own budgets and base seed; threads and
- * incumbent wiring are managed by the race itself.
+ * Budgets for compilePortfolio's fixed member set: LISA at rank 0 (its
+ * successes break II ties), then SA and ILP*, the paper's baselines.
+ * Each member's SearchOptions carries its own budgets and base seed;
+ * threads and incumbent wiring are managed by the race itself.
  */
 struct PortfolioConfig
 {
     map::SearchOptions lisa;
     map::SearchOptions sa;
     map::SearchOptions ilp;
-    map::SearchOptions evo;
-    bool runSa = true;
-    bool runIlp = true;
-    bool runEvo = true;
 };
 
 /**
@@ -107,11 +102,11 @@ class LisaFramework
                               const map::SearchOptions &options) const;
 
     /**
-     * Map a DFG by racing LISA against the configured baseline mappers
-     * (SA, ILP*, EVO) over the process thread pool, all sharing this
-     * framework's ArchContext and one best-II incumbent. Deterministic
-     * for a fixed (config seeds, member set, threads): the winner is the
-     * lex-min (ii, rank) achiever, not the first finisher.
+     * Map a DFG by racing LISA against the baseline mappers (SA, ILP*)
+     * over the process thread pool, all sharing this framework's
+     * ArchContext and one best-II incumbent. Deterministic for fixed
+     * (config seeds, threads): the winner is the lex-min (ii, rank)
+     * achiever, not the first finisher.
      */
     map::PortfolioResult
     compilePortfolio(const dfg::Dfg &dfg,

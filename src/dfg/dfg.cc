@@ -36,13 +36,13 @@ opName(OpCode op)
     panic("opName: unknown opcode ", static_cast<int>(op));
 }
 
-OpCode
+std::optional<OpCode>
 opFromName(const std::string &name)
 {
     for (const auto &p : kOpNames)
         if (name == p.name)
             return p.op;
-    fatal("opFromName: unknown op mnemonic '", name, "'");
+    return std::nullopt;
 }
 
 bool

@@ -11,6 +11,7 @@
 #define LISA_DFG_DFG_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,8 +42,9 @@ inline constexpr int kNumOpCodes = static_cast<int>(OpCode::Const) + 1;
 /** @return a short mnemonic such as "mul" for an OpCode. */
 const char *opName(OpCode op);
 
-/** Parse a mnemonic produced by opName(); fatal() on unknown names. */
-OpCode opFromName(const std::string &name);
+/** Parse a mnemonic produced by opName(); std::nullopt on unknown
+ *  names. */
+std::optional<OpCode> opFromName(const std::string &name);
 
 /** @return true for Load/Store, which may be restricted to memory PEs. */
 bool isMemoryOp(OpCode op);

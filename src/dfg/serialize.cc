@@ -72,8 +72,12 @@ readText(std::istream &is, std::string *error)
                 return fail("line " + std::to_string(lineno) +
                             ": more than " + std::to_string(kMaxTextNodes) +
                             " nodes");
+            const std::optional<OpCode> code = opFromName(op);
+            if (!code)
+                return fail("line " + std::to_string(lineno) +
+                            ": unknown op '" + op + "'");
             ls >> name;
-            g.addNode(opFromName(op), name);
+            g.addNode(*code, name);
         } else if (kind == "edge") {
             int src, dst, dist = 0;
             if (!(ls >> src >> dst))
@@ -86,6 +90,10 @@ readText(std::istream &is, std::string *error)
                 return fail("line " + std::to_string(lineno) +
                             ": edge endpoint out of range");
             }
+            if (dist < 0 || dist > kMaxTextIterDistance)
+                return fail("line " + std::to_string(lineno) +
+                            ": iteration distance outside 0.." +
+                            std::to_string(kMaxTextIterDistance));
             if (g.numEdges() >= kMaxTextEdges)
                 return fail("line " + std::to_string(lineno) +
                             ": more than " + std::to_string(kMaxTextEdges) +

@@ -31,6 +31,13 @@ constexpr size_t kMaxTextNodes = 512;
 constexpr size_t kMaxTextEdges = 2048;
 /** @} */
 
+/** Largest loop-carried iteration distance the text decoder accepts.
+ *  A distance-d edge is routed across up to d * II cycles, and the
+ *  router's temporal DP keeps one row per cycle, so its memory grows
+ *  linearly with d (and d * II overflows int for a large enough d). The
+ *  in-tree kernels and fixtures use at most 3. */
+constexpr int kMaxTextIterDistance = 8;
+
 /** Write @p dfg in the text format. */
 void writeText(const Dfg &dfg, std::ostream &os);
 
@@ -39,8 +46,9 @@ std::string toText(const Dfg &dfg);
 
 /**
  * Parse the text format. Returns std::nullopt (and fills @p error if
- * non-null) on malformed input, including more than kMaxTextNodes nodes
- * or kMaxTextEdges edges.
+ * non-null) on malformed input, including an unknown op mnemonic, a
+ * negative iteration distance or one above kMaxTextIterDistance, and
+ * more than kMaxTextNodes nodes or kMaxTextEdges edges.
  */
 std::optional<Dfg> readText(std::istream &is, std::string *error = nullptr);
 

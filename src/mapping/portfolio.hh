@@ -53,7 +53,7 @@ namespace lisa::map {
 /** One member's full outcome within a race. */
 struct MemberOutcome
 {
-    /** Display name ("LISA", "SA", "ILP*", "EVO", ...). */
+    /** Display name ("LISA", "SA", "ILP*"). */
     std::string name;
     /** Tie-break priority: the member's index in registration order. */
     int rank = 0;

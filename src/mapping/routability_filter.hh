@@ -36,7 +36,7 @@
  *  - strict:  consulted and counted, but every predicted reject is still
  *             routed for real and the router's answer wins — behavior is
  *             bit-identical to off (tests/test_routability_filter.cc
- *             pins this across SA/LISA/EVO).
+ *             pins this across SA/LISA).
  *  - collect: consulted for features only; every admitted call is routed
  *             and logged with its true outcome to the collection file.
  *

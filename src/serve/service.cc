@@ -6,7 +6,6 @@
 
 #include "arch/arch_context.hh"
 #include "dfg/serialize.hh"
-#include "mappers/evo_mapper.hh"
 #include "mappers/exact_mapper.hh"
 #include "mappers/sa_mapper.hh"
 #include "support/logging.hh"
@@ -46,7 +45,6 @@ portfolioSearch(const dfg::Dfg &dfg, arch::ArchContext &context,
     map::PortfolioSearch race(context);
     race.addMember("SA", std::make_unique<map::SaMapper>(), options);
     race.addMember("ILP*", std::make_unique<map::ExactMapper>(), options);
-    race.addMember("EVO", std::make_unique<map::EvoMapper>(), options);
     return race.run(dfg);
 }
 

@@ -99,7 +99,7 @@ class MappingService
 {
   public:
     /** Injectable search backend (tests swap in gated fakes to prove
-     *  coalescing; production uses the built-in SA + ILP-star + EVO
+     *  coalescing; production uses the built-in SA + ILP-star
      *  portfolio). */
     using SearchFn = std::function<map::PortfolioResult(
         const dfg::Dfg &, arch::ArchContext &,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "dfg/builder.hh"
 #include "dfg/dfg.hh"
 
@@ -114,8 +116,11 @@ TEST(OpNames, RoundTrip)
 {
     for (auto op : {OpCode::Add, OpCode::Mul, OpCode::Load, OpCode::Store,
                     OpCode::Select, OpCode::Cmp, OpCode::Const}) {
-        EXPECT_EQ(opFromName(opName(op)), op);
+        const std::optional<OpCode> parsed = opFromName(opName(op));
+        ASSERT_TRUE(parsed.has_value()) << opName(op);
+        EXPECT_EQ(*parsed, op);
     }
+    EXPECT_FALSE(opFromName("frobnicate").has_value());
 }
 
 TEST(OpNames, MemoryClassification)

@@ -20,7 +20,7 @@
 
 #include "arch/arch_context.hh"
 #include "arch/cgra.hh"
-#include "mappers/evo_mapper.hh"
+#include "mappers/exact_mapper.hh"
 #include "mappers/sa_mapper.hh"
 #include "mapping/portfolio.hh"
 #include "support/stopwatch.hh"
@@ -100,7 +100,7 @@ TEST(PortfolioSearch, WinsWithValidMappingAndAttribution)
     auto w = workloads::workloadByName("doitgen");
     PortfolioSearch race(ctx);
     race.addMember("SA", std::make_unique<SaMapper>(), quickOptions(3));
-    race.addMember("EVO", std::make_unique<EvoMapper>(), quickOptions(3));
+    race.addMember("ILP*", std::make_unique<ExactMapper>(), quickOptions(3));
     ASSERT_EQ(race.numMembers(), 2u);
     auto r = race.run(w.dfg);
     ASSERT_TRUE(r.success);
@@ -110,7 +110,7 @@ TEST(PortfolioSearch, WinsWithValidMappingAndAttribution)
     ASSERT_EQ(r.members.size(), 2u);
     EXPECT_EQ(r.members[0].name, "SA");
     EXPECT_EQ(r.members[0].rank, 0);
-    EXPECT_EQ(r.members[1].name, "EVO");
+    EXPECT_EQ(r.members[1].name, "ILP*");
     EXPECT_EQ(r.members[1].rank, 1);
     ASSERT_GE(r.winnerRank, 0);
     ASSERT_LT(static_cast<size_t>(r.winnerRank), r.members.size());
@@ -199,7 +199,7 @@ TEST(PortfolioDeterminism, SameSeedThreadsMembersReproduceWinnerBitwise)
         PortfolioSearch race(ctx);
         race.addMember("SA", std::make_unique<SaMapper>(),
                        quickOptions(11));
-        race.addMember("EVO", std::make_unique<EvoMapper>(),
+        race.addMember("ILP*", std::make_unique<ExactMapper>(),
                        quickOptions(11));
         auto r = race.run(w.dfg);
         ASSERT_TRUE(r.success) << "run " << run;

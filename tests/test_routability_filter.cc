@@ -2,7 +2,7 @@
  * @file
  * Tests for the learned routability filter: model round-trip and the
  * fingerprint stale-model guard, the off-vs-strict bit-identity
- * property across SA / LISA / EVO, the tier-0 exactness of `on` mode,
+ * property across SA / LISA, the tier-0 exactness of `on` mode,
  * counter flow, and the --collect-routability sample sink.
  */
 
@@ -22,7 +22,6 @@
 #include "dfg/builder.hh"
 #include "mapping/ii_search.hh"
 #include "mapping/routability_filter.hh"
-#include "mappers/evo_mapper.hh"
 #include "mappers/exact_mapper.hh"
 #include "mappers/sa_mapper.hh"
 #include "nn/module.hh"
@@ -198,7 +197,7 @@ TEST(RoutabilityFilter, StrictModeBitIdenticalToOffAcrossMappers)
     // reject shadow-routed and overridden by the router's answer, the
     // final mapping of a fixed-seed search is bit-identical to a
     // filter-off run. An absurdly high threshold would veto every
-    // learned-tier query; these three mappers allow overuse, so their
+    // learned-tier query; these two mappers allow overuse, so their
     // rejects come from tier 0, and strict mode shadow-routes every one.
     // Each mapper runs one fixed-II job (see tryMapText), so no
     // wall-clock budget decides where either mode's search stops.
@@ -209,16 +208,13 @@ TEST(RoutabilityFilter, StrictModeBitIdenticalToOffAcrossMappers)
     const dfg::Analysis an(w.dfg);
     const auto labels = labelsFor(w.dfg);
 
-    // SA and LISA map at the MII in well under a second; EVO gets an II
-    // it also maps in about 0.1 s (at II 2-3 it needs seconds).
+    // SA and LISA map at the MII in well under a second.
     auto runAll = [&](map::MapperStats *sa_stats) {
         std::vector<std::string> texts;
         map::SaMapper sa;
         texts.push_back(tryMapText(sa, w.dfg, an, ctx, 1, sa_stats));
         core::LisaMapper lisa(labels);
         texts.push_back(tryMapText(lisa, w.dfg, an, ctx, 1, nullptr));
-        map::EvoMapper evo;
-        texts.push_back(tryMapText(evo, w.dfg, an, ctx, 5, nullptr));
         return texts;
     };
 

@@ -103,6 +103,37 @@ TEST(Serialize, RejectsInvalidGraph)
     EXPECT_NE(error.find("invalid"), std::string::npos);
 }
 
+TEST(Serialize, RejectsUnknownOp)
+{
+    std::string error;
+    EXPECT_FALSE(fromText("dfg t\nnode 0 frobnicate\n", &error)
+                     .has_value());
+    EXPECT_NE(error.find("unknown op 'frobnicate'"), std::string::npos)
+        << error;
+}
+
+TEST(Serialize, BoundsIterationDistance)
+{
+    const std::string head = "dfg t\nnode 0 load\nnode 1 add\nedge 0 1\n";
+    std::string error;
+    auto at_bound = fromText(
+        head + "edge 1 1 " + std::to_string(kMaxTextIterDistance) + "\n",
+        &error);
+    ASSERT_TRUE(at_bound.has_value()) << error;
+    EXPECT_EQ(at_bound->edge(1).iterDistance, kMaxTextIterDistance);
+
+    for (const std::string &dist :
+         {std::string("-1"), std::to_string(kMaxTextIterDistance + 1),
+          std::string("2000000000")}) {
+        error.clear();
+        EXPECT_FALSE(fromText(head + "edge 1 1 " + dist + "\n", &error)
+                         .has_value())
+            << dist;
+        EXPECT_NE(error.find("iteration distance"), std::string::npos)
+            << error;
+    }
+}
+
 /** A load feeding a chain of adds, @p nodes nodes in all, with extra
  *  load -> first-add edges up to @p edges edges. */
 std::string

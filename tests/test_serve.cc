@@ -451,6 +451,24 @@ TEST(MappingService, RejectsMalformedRequests)
     const MapOutcome o2 = service.map(bad_accel);
     EXPECT_FALSE(o2.ok);
     EXPECT_NE(o2.error.find("accel"), std::string::npos);
+
+    // DFG text that must fail closed: an unknown op, a negative
+    // iteration distance and one far above the decoder's bound.
+    for (const char *text :
+         {"dfg k\nnode 0 frobnicate\n",
+          "dfg k\nnode 0 load\nnode 1 store\nedge 0 1 -1\n",
+          "dfg k\nnode 0 load\nnode 1 add\nnode 2 store\nedge 0 1\n"
+          "edge 1 2\nedge 1 1 2000000000\n"}) {
+        const MapOutcome out = service.map(kernelRequest(text));
+        EXPECT_FALSE(out.ok) << text;
+        EXPECT_EQ(out.error.rfind("dfg: ", 0), 0u) << out.error;
+    }
+    EXPECT_EQ(service.stats().misses, 0);
+
+    // The service still serves a good request afterwards.
+    const MapOutcome good = service.map(kernelRequest());
+    ASSERT_TRUE(good.ok) << good.error;
+    EXPECT_TRUE(good.verified);
 }
 
 TEST(MappingService, RejectsOversizedAccelSpecBeforeBuildingIt)
@@ -615,22 +633,35 @@ TEST(MappingCache, UndecodableRecordEvictsOnHit)
     bad.key = requestKey(middle);
     bad.mappingText = "lisa-mapping v1\nnot a mapping\n";
     bad.replay.reset();
+    // A well-formed record whose embedded DFG names an unknown op: the
+    // decoder must reject it, not end the process during load().
+    CacheEntry unknown_op = *before;
+    unknown_op.key = requestKey(chainKernel(4));
+    const size_t op_at = unknown_op.mappingText.find(
+        " add", unknown_op.mappingText.find("dfg-begin"));
+    ASSERT_NE(op_at, std::string::npos);
+    unknown_op.mappingText.replace(op_at + 1, 3, "frobnicate");
+    unknown_op.replay.reset();
     {
         MappingCache writer;
         ASSERT_TRUE(writer.append(path, *before));
         ASSERT_TRUE(writer.append(path, bad));
+        ASSERT_TRUE(writer.append(path, unknown_op));
         ASSERT_TRUE(writer.append(path, *after));
     }
 
     ServeConfig cfg;
     cfg.cacheFile = path;
     MappingService service(cfg);
-    // Its checksum holds, so the record loads beside its neighbours, as
-    // an entry with no decode.
-    ASSERT_EQ(service.cache().size(), 3u);
+    // Their checksums hold, so the records load beside their neighbours,
+    // as entries with no decode.
+    ASSERT_EQ(service.cache().size(), 4u);
     const auto loaded_bad = service.cache().lookup(bad.key);
     ASSERT_NE(loaded_bad, nullptr);
     EXPECT_FALSE(loaded_bad->replay.has_value());
+    const auto loaded_unknown_op = service.cache().lookup(unknown_op.key);
+    ASSERT_NE(loaded_unknown_op, nullptr);
+    EXPECT_FALSE(loaded_unknown_op->replay.has_value());
     EXPECT_TRUE(service.cache().lookup(before->key)->replay.has_value());
     EXPECT_TRUE(service.cache().lookup(after->key)->replay.has_value());
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Throughput-regression guard over LISA_METRICS_OUT JSONL dumps.
+ * Throughput-regression guard over the JSONL files a bench binary
+ * writes with --metrics-out.
  *
  * Usage: bench_compare <baseline.jsonl> <current.jsonl> [max_regression]
  *

@@ -16,8 +16,9 @@
 #      per-workspace or per-call knob is a second route path; process-
 #      wide knobs resolve once, in cold code, or
 #   4. any getenv( under src/ reads something other than a string literal
-#      on the ENV_KNOBS list below. Adding a knob to the library means
-#      editing that list, in review.
+#      on the ENV_KNOBS list below, or any getenv( appears under bench/.
+#      Adding a knob to the library means editing that list, in review;
+#      a bench binary takes its settings as initBench flags.
 #
 # The allow marker is reserved for amortized workspace buffers whose
 # growth is tracked by RouterWorkspace::growthEvents and settles after
@@ -150,7 +151,8 @@ for f in "${HOT_FILES[@]}"; do
     fi
 done
 
-# Rule 4: the library reads only the listed environment knobs.
+# Rule 4: the library reads only the listed environment knobs, and the
+# bench binaries read none.
 knob_alt=$(IFS='|'; echo "${ENV_KNOBS[*]}")
 while IFS= read -r hit; do
     [ -n "$hit" ] || continue
@@ -161,6 +163,11 @@ while IFS= read -r hit; do
         fail=1
     fi
 done < <(grep -rnE "$ENV_RE" src)
+if grep -rnE "$ENV_RE" bench; then
+    echo "lint.sh: FAIL: environment read under bench/" >&2
+    echo "    (take the setting as a flag parsed in initBench)" >&2
+    fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
     echo "lint.sh: router hot-path lint FAILED" >&2
