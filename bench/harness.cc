@@ -124,11 +124,9 @@ initBench(int argc, char **argv)
             g_portfolio = true;
         } else if (arg == "--collect-routability") {
             map::setRoutabilityCollection("routability_samples.txt");
-            map::setRoutabilityMode(map::RoutabilityMode::Collect);
         } else if (arg.rfind("--collect-routability=", 0) == 0) {
             map::setRoutabilityCollection(
                 arg.substr(std::string("--collect-routability=").size()));
-            map::setRoutabilityMode(map::RoutabilityMode::Collect);
         } else {
             std::cerr << "[bench] ignoring unknown argument '" << arg
                       << "' (supported: --threads N, --fast, --sa-runs N, "

@@ -218,7 +218,6 @@ LisaMapper::attemptStream(const map::MapContext &ctx)
     map::Mapping mapping(ctx.dfg, ctx.mrrg);
     map::RouterWorkspace ws;
     ws.archContext = ctx.archCtx;
-    ws.filter.bind(ctx.archCtx);
     map::MapperStats stats;
 
     long attempts = 0;

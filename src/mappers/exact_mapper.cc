@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 
+#include "arch/arch_context.hh"
 #include "mapping/router_workspace.hh"
 #include "mappers/placement_util.hh"
 #include "support/logging.hh"
@@ -136,35 +138,40 @@ ExactMapper::tryMap(const MapContext &ctx)
     Dfs dfs{ctx, mapping, cfg, ctx.analysis.topoOrder(), Stopwatch{},
             false, {}};
     dfs.ws.archContext = ctx.archCtx;
-    // Learned vetoes speed the enumeration up but are fallible, and this
-    // mapper's failure verdicts feed II selection. Fail-closed protocol:
-    // take learned rejects on the first pass, and if the enumeration
-    // completes empty-handed while any fired, rerun it router-exact
-    // (tier-0 rejects only, provably router-identical) on the remaining
-    // time budget — a completed "unmappable" verdict is then always
-    // backed by an exact enumeration, never by a prediction. A timeout
-    // failure is inconclusive with or without the filter; warn once so a
+    // The learned tier is this search's alone: it is the only caller
+    // whose hard-capacity routes the model adjudicates. Learned vetoes
+    // speed the enumeration up but are fallible, and this mapper's
+    // failure verdicts feed II selection. Fail-closed protocol: take
+    // vetoes on the first pass, and if the enumeration completes
+    // empty-handed while any fired, rerun it without the model (tier-0
+    // rejects only, provably router-identical) on the remaining time
+    // budget — a completed "unmappable" verdict is then always backed by
+    // an exact enumeration, never by a prediction. A timeout failure is
+    // inconclusive with or without the model; warn once so a
     // false-rejecting user-trained model is not silently absorbed.
-    dfs.ws.filter.bind(ctx.archCtx);
-    if (!cfg.learnedPruning)
-        dfs.ws.filter.restrictToProvable();
+    std::shared_ptr<const RoutabilityModel> model;
+    if (cfg.learnedPruning && ctx.archCtx != nullptr)
+        model = ctx.archCtx->routabilityModel();
+    dfs.ws.learned.model = model.get();
+    if (ctx.archCtx != nullptr && routabilityCollecting())
+        dfs.ws.learned.collectFor = ctx.archCtx;
     bool found = dfs.place(0) && mapping.valid();
-    if (!found && dfs.ws.filter.learnedRejects() > 0) {
+    if (!found && dfs.ws.learned.vetoes > 0) {
         if (!dfs.timedOut && !ctx.cancelled()) {
             // A failed pass is not always an empty mapping: place() can
             // succeed with a residual invalid() state (e.g. overuse the
             // FU-slot check does not cover), so start the rerun from a
             // fresh mapping rather than on top of the wreckage.
             mapping = Mapping(ctx.dfg, ctx.mrrg);
-            dfs.ws.filter.restrictToProvable();
+            dfs.ws.learned.model = nullptr;
             found = dfs.place(0) && mapping.valid();
         } else if (dfs.timedOut) {
             static std::atomic<bool> warned{false};
             if (!warned.exchange(true))
                 warn("ILP*: a time-limited exact search failed after "
                      "learned routability vetoes; if achieved IIs look "
-                     "worse than expected, audit the model with "
-                     "LISA_ROUTE_FILTER=strict (or disable with off)");
+                     "worse than expected, rerun with "
+                     "ExactConfig::learnedPruning = false");
         }
     }
     ctx.countAttempts(dfs.placements);

@@ -27,14 +27,14 @@ struct ExactConfig
     int extraSlack = 2;
     RouterCosts routerCosts{1.0, 0.7, 0.0, /*allowOveruse=*/false};
     /**
-     * Let the routability filter's learned tier veto candidates during
-     * the enumeration. The search stays fail-closed: an enumeration that
-     * completes without a mapping while learned vetoes fired is rerun
-     * router-exact (RoutabilityFilter::restrictToProvable) within the
-     * remaining time budget, so a false reject can never flip a feasible
-     * instance to "unmappable" — only a timeout can (as without the
-     * filter). Set false to take tier-0 structural rejects only, which
-     * are provably router-identical.
+     * Let the learned routability tier (routability_filter.hh) veto
+     * candidates during the enumeration, when the ArchContext holds a
+     * model. The search stays fail-closed: an enumeration that completes
+     * without a mapping while learned vetoes fired is rerun without the
+     * model within the remaining time budget, so a false reject can never
+     * flip a feasible instance to "unmappable" — only a timeout can (as
+     * without the model). Set false to take the router's tier-0
+     * structural rejects only, which are provably router-identical.
      */
     bool learnedPruning = true;
 };

@@ -168,7 +168,6 @@ SaMapper::attemptStream(const MapContext &ctx)
     Stopwatch total;
     RouterWorkspace ws;
     ws.archContext = ctx.archCtx;
-    ws.filter.bind(ctx.archCtx);
     MapperStats stats;
     std::optional<Mapping> out;
     while (total.seconds() < ctx.timeBudget && !ctx.cancelled()) {

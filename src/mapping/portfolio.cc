@@ -2,27 +2,11 @@
 
 #include <algorithm>
 
+#include "support/random.hh"
 #include "support/stopwatch.hh"
 #include "support/thread_pool.hh"
 
 namespace lisa::map {
-
-namespace {
-
-/** splitmix64 finalizer: per-member seed from (base seed, rank). Same
- *  mixing as Rng::split, so a member's stream is independent of both its
- *  siblings and the caller's own use of the base seed. */
-uint64_t
-memberSeed(uint64_t base, int rank)
-{
-    uint64_t z =
-        base + 0x9e3779b97f4a7c15ULL * (static_cast<uint64_t>(rank) + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-} // namespace
 
 PortfolioSearch::PortfolioSearch(arch::ArchContext &ctx) : context(ctx) {}
 
@@ -54,7 +38,7 @@ PortfolioSearch::run(const dfg::Dfg &dfg)
     ThreadPool::global().parallelFor(n, [&](size_t i) {
         const int rank = static_cast<int>(i);
         SearchOptions opts = members[i].options;
-        opts.seed = memberSeed(opts.seed, rank);
+        opts.seed = Rng::splitSeed(opts.seed, i);
         opts.threads = 1; // parallelism lives across members, not inside
         opts.incumbent = &incumbent;
         opts.memberRank = rank;

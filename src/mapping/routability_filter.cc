@@ -1,17 +1,16 @@
 /**
  * @file
- * The routability filter's admission query (assess, hot and
- * allocation-free) and its cold paths: mode-knob resolution, the
- * --collect-routability sample sink, and model (de)serialization with the
- * fabric-fingerprint stale-model guard.
+ * The learned tier's feature fill (hot and allocation-free) and its cold
+ * paths: the --collect-routability sample sink, and model
+ * (de)serialization with the fabric-fingerprint stale-model guard.
  */
 
 #include "mapping/routability_filter.hh"
 
-#include <atomic>
-#include <cstdlib>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <system_error>
 #include <utility>
 
@@ -27,36 +26,16 @@ namespace lisa::map {
 
 namespace {
 
-constexpr int kModeUnresolved = -1;
-/** Process-wide mode cell. Ordering contract: the cell carries a plain
- *  enum with no dependent data, so every access is relaxed; the only
- *  invariant is write-atomicity plus the compare_exchange in
- *  routabilityMode() that keeps a concurrent setRoutabilityMode() from
- *  being overwritten by the lazy env resolve (PR 8's lost-update fix,
- *  pinned by RoutabilityModeRace.ExplicitOverrideBeatsEnvResolve). */
-std::atomic<int> g_mode{kModeUnresolved};
-
-// lint:cold-begin(env knob: read once per process by routabilityMode())
-int
-parseModeEnv()
+double
+busyFraction(const Mapping &mapping, std::span<const int> resources)
 {
-    const char *env = std::getenv("LISA_ROUTE_FILTER");
-    if (env == nullptr)
-        return static_cast<int>(RoutabilityMode::On);
-    const std::string v(env);
-    if (v.empty() || v == "on" || v == "1")
-        return static_cast<int>(RoutabilityMode::On);
-    if (v == "off" || v == "0")
-        return static_cast<int>(RoutabilityMode::Off);
-    if (v == "strict")
-        return static_cast<int>(RoutabilityMode::Strict);
-    if (v == "collect")
-        return static_cast<int>(RoutabilityMode::Collect);
-    warn("LISA_ROUTE_FILTER='", v,
-         "' is not off/on/strict/collect; filter disabled");
-    return static_cast<int>(RoutabilityMode::Off);
+    if (resources.empty())
+        return 0.0;
+    int busy = 0;
+    for (int r : resources)
+        busy += mapping.numInstancesOn(r) > 0 ? 1 : 0;
+    return static_cast<double>(busy) / static_cast<double>(resources.size());
 }
-// lint:cold-end
 
 /** Serialized sample sink shared by every collecting workspace. */
 struct Collector
@@ -83,34 +62,11 @@ modelPath(const std::string &dir, const std::string &accel_name)
 
 } // namespace
 
-RoutabilityVerdict
-RoutabilityFilter::assess(const Mapping &mapping, dfg::EdgeId e,
-                          const RouterCosts &costs, RouterWorkspace &ws,
-                          double *f)
+void
+fillRoutabilityFeatures(const Mapping &mapping, dfg::EdgeId e,
+                        const RouterCosts &costs, RouterWorkspace &ws,
+                        double *f)
 {
-    RoutabilityVerdict v;
-    const bool collect = mode_ == RoutabilityMode::Collect;
-    if (provablyUnroutable(mapping, e, costs, ws)) {
-        // Tier 0: the router fails these on its own structural check.
-        // Trivially predictable, so collect mode does not log them.
-        if (!collect) {
-            v.consulted = true;
-            v.reject = true;
-            v.provable = true;
-        }
-        return v;
-    }
-    // Tier 1 runs only for contested (hard-capacity) calls. With
-    // overuse allowed the occupancy constraints soften to costs, so
-    // any structurally feasible candidate (tier 0 above) routes —
-    // across millions of collected samples not one overuse-allowed
-    // call failed — and admitting is always safe regardless.
-    // provableOnly_ workspaces (exhaustive search) take no learned
-    // vetoes either. Neither case is consulted or collected: the
-    // model only ever adjudicates the contested regime.
-    if (costs.allowOveruse || provableOnly_ || (!model_ && !collect))
-        return v; // admit without spending the learned tier
-
     const dfg::Edge &edge = mapping.dfg().edge(e);
     const Placement &src = mapping.placement(edge.src);
     const Placement &dst = mapping.placement(edge.dst);
@@ -136,57 +92,10 @@ RoutabilityFilter::assess(const Mapping &mapping, dfg::EdgeId e,
     f[6] = busyFraction(mapping, mrrg.feeders(dst.pe, dst.time));
     f[7] = busyFraction(mapping, mrrg.moveTargets(fu));
     f[8] = std::min(static_cast<double>(mapping.totalOveruse()), 32.0) / 32.0;
-    // Constant 0 under the overuse bypass above; the slot stays so the
-    // feature version survives if that bypass is ever lifted.
+    // Constant 0: only contested calls reach the learned tier. The slot
+    // stays so the feature version survives if that is ever lifted.
     f[9] = costs.allowOveruse ? 1.0 : 0.0;
-
-    v.consulted = true;
-    if (collect)
-        return v; // label comes from the real route outcome
-    if (model_->score(f) < model_->threshold)
-        v.reject = true;
-    return v;
 }
-
-RoutabilityMode
-routabilityMode()
-{
-    // relaxed: the mode is a standalone enum cell — no other memory is
-    // published through it, so no acquire/release pairing is needed.
-    int m = g_mode.load(std::memory_order_relaxed);
-    if (m == kModeUnresolved) {
-        // First resolver publishes the env value, but a concurrent
-        // setRoutabilityMode() must win: a plain store here could
-        // overwrite a programmatic override installed between our load
-        // and the parse (lost update). On CAS failure `m` reloads the
-        // setter's value.
-        const int parsed = parseModeEnv();
-        // relaxed: see above — atomicity of the CAS is the whole contract.
-        if (g_mode.compare_exchange_strong(m, parsed,
-                                           std::memory_order_relaxed))
-            m = parsed;
-    }
-    return static_cast<RoutabilityMode>(m);
-}
-
-void
-setRoutabilityMode(RoutabilityMode mode)
-{
-    // relaxed: standalone cell, atomicity only (see g_mode contract).
-    g_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-namespace detail {
-
-void
-resetRoutabilityModeForTest()
-{
-    // relaxed: test-only hook re-arming the lazy env resolve so the
-    // resolve-vs-override race stays exercisable under TSan.
-    g_mode.store(kModeUnresolved, std::memory_order_relaxed);
-}
-
-} // namespace detail
 
 void
 setRoutabilityCollection(std::string path)
@@ -209,21 +118,8 @@ routabilityCollecting()
 }
 
 void
-RoutabilityFilter::bind(arch::ArchContext *ctx)
-{
-    boundCtx_ = ctx;
-    keepalive_ = ctx != nullptr ? ctx->routabilityModel() : nullptr;
-    model_ = keepalive_.get();
-    mode_ = ctx != nullptr ? routabilityMode() : RoutabilityMode::Off;
-    if ((mode_ == RoutabilityMode::On ||
-         mode_ == RoutabilityMode::Strict) &&
-        model_ == nullptr)
-        mode_ = RoutabilityMode::Off;
-    rejectTick_ = 0;
-}
-
-void
-RoutabilityFilter::logSample(const double *f, bool routed) const
+logRoutabilitySample(const arch::ArchContext &ctx, const double *f,
+                     bool routed)
 {
     Collector &c = collector();
     const support::LockGuard lock(c.mu);
@@ -243,11 +139,9 @@ RoutabilityFilter::logSample(const double *f, bool routed) const
         }
     }
     if (!c.headerWritten) {
-        c.out << "# lisa-routability "
-              << (boundCtx_ != nullptr ? boundCtx_->accel().name() : "?")
-              << ' '
-              << (boundCtx_ != nullptr ? boundCtx_->fingerprint() : 0)
-              << ' ' << RoutabilityModel::kFeatureVersion << '\n';
+        c.out << "# lisa-routability " << ctx.accel().name() << ' '
+              << ctx.fingerprint() << ' '
+              << RoutabilityModel::kFeatureVersion << '\n';
         c.headerWritten = true;
     }
     c.out << (routed ? 1 : 0);
@@ -384,12 +278,12 @@ loadRoutabilityModel(arch::ArchContext &ctx, const std::string &dir)
     auto model = readRoutabilityModel(dir, ctx.accel().name(), &error);
     if (model == nullptr) {
         inform("routability: ignoring ", path, " (", error,
-               "); filter disabled");
+               "); learned tier unarmed");
         return false;
     }
     if (model->fingerprint != ctx.fingerprint()) {
         inform("routability: ignoring ", path,
-               " (fabric fingerprint mismatch); filter disabled");
+               " (fabric fingerprint mismatch); learned tier unarmed");
         return false;
     }
     ctx.setRoutabilityModel(std::move(model));

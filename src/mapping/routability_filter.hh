@@ -6,14 +6,15 @@
  * Most route calls in an annealing sweep fail (the checked-in fig9a
  * baseline fails ~58% of them), and every failure still pays seed
  * collection, an oracle fetch and — for the congestion-driven cases — a
- * full DP sweep. The filter sits in front of routeEdge and predicts route
+ * full DP sweep. Two tiers at the top of routeEdge predict route
  * feasibility from cheap, pure functions of the mapping state:
  *
  *  - tier 0, the router's exact structural rule provablyUnroutable()
  *    (router.hh): a negative required length, or a producer FU whose
  *    oracle min-hop distance to the destination's feeder set exceeds the
- *    length budget. These rejections are provably identical to a router
- *    failure.
+ *    length budget. routeEdge answers it itself on every temporal call,
+ *    for every caller, with or without a model; its rejects are provably
+ *    identical to a router failure.
  *  - tier 1, a learned admission score: a tiny MLP (one ReLU hidden
  *    layer, flattened weights, allocation-free inference) over a
  *    10-feature vector — length, min-hops and slack (II headroom), layer
@@ -21,51 +22,47 @@
  *    producer-neighbourhood occupancy, global overuse, and the
  *    allow-overuse cost mode. Trained offline (tools/train_routability)
  *    on (features, routed?) pairs logged by the --collect-routability
- *    bench mode. The learned tier only runs for contested
+ *    bench flag. The learned tier only adjudicates contested
  *    (hard-capacity) calls: with overuse allowed, occupancy softens to
- *    costs and structurally feasible candidates always route, so those
- *    are admitted after tier 0 without features or inference.
+ *    costs and structurally feasible candidates always route. Only the
+ *    exact mapper routes with hard capacity, so only it arms the tier
+ *    (LearnedAdmission below, ExactConfig::learnedPruning).
  *
- * Admission semantics (LISA_ROUTE_FILTER knob):
- *  - off:     never consulted (historical behavior).
- *  - on:      a rejected edge is treated as a failed route without
- *             invoking the router; a deterministic 1-in-N sample of
- *             learned rejects is shadow-routed to estimate the
- *             false-reject rate (the verdict stands either way, so the
- *             sample spends time but never changes results).
- *  - strict:  consulted and counted, but every predicted reject is still
- *             routed for real and the router's answer wins — behavior is
- *             bit-identical to off (tests/test_routability_filter.cc
- *             pins this across SA/LISA).
- *  - collect: consulted for features only; every admitted call is routed
- *             and logged with its true outcome to the collection file.
+ * Admission on an armed workspace, after tier 0 admitted the call:
+ *  - collecting (a sink path is set, setRoutabilityCollection): the call
+ *    is routed and logged with its real outcome; no veto is taken.
+ *  - otherwise a score below the model threshold is treated as a failed
+ *    route without invoking the router. A deterministic 1-in-N sample of
+ *    these vetoes is shadow-routed to estimate the false-reject rate (the
+ *    veto stands either way, so the sample spends time but never changes
+ *    results). The exact mapper reruns a search that completed
+ *    empty-handed after vetoes without the model, so a false reject can
+ *    never become an "unmappable" verdict.
  *
- * Determinism: a filter decision is a pure function of (mapping state,
- * model weights), and the shadow sample is a per-workspace counter, so
- * (seed, threads) reproducibility is preserved in every mode. The exact
- * router remains the authority — the filter only prunes candidate
- * generation, a filtered-out candidate is never committed as a route, and
- * final answers still pass the unconditional verifier.
+ * Determinism: a decision is a pure function of (mapping state, model
+ * weights), and the shadow sample is a per-workspace counter, so
+ * (seed, threads) reproducibility is preserved. The exact router remains
+ * the authority — the filter only prunes candidate generation, a
+ * filtered-out candidate is never committed as a route, and final answers
+ * still pass the unconditional verifier.
  *
  * Models live beside the GNN label models (lisa_models/<accel>.routability
  * plus a .routability.meta carrying the ArchContext fabric fingerprint,
  * the PR 7 stale-model guard): a corrupt file or a foreign fingerprint
- * disables the filter instead of aborting. The loaded model is held by the
- * ArchContext so every workspace mapping on the fabric shares one
+ * leaves the learned tier unarmed instead of aborting. The loaded model
+ * is held by the ArchContext so every search on the fabric shares one
  * immutable copy.
  *
  * This header and routability_filter.cc are on the tools/lint.sh hot-file
- * list: the inference and feature paths (score / assess) must stay
- * allocation-free.
+ * list: the inference and feature paths (score /
+ * fillRoutabilityFeatures) must stay allocation-free.
  */
 
 #ifndef LISA_MAPPING_ROUTABILITY_FILTER_HH
 #define LISA_MAPPING_ROUTABILITY_FILTER_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -83,9 +80,6 @@ class Mlp;
 namespace lisa::map {
 
 class RouterWorkspace;
-
-/** Admission modes of the LISA_ROUTE_FILTER knob. */
-enum class RoutabilityMode { Off, On, Strict, Collect };
 
 /**
  * Flattened per-accelerator admission model: one ReLU hidden layer over
@@ -126,122 +120,51 @@ struct RoutabilityModel
     }
 };
 
-/** Outcome of one admission query. */
-struct RoutabilityVerdict
+/**
+ * The learned tier's per-workspace state. Idle by default; the exact
+ * mapper arms it once per search (ExactMapper::tryMap). routeEdge
+ * consults it on contested (allowOveruse == false) temporal calls that
+ * tier 0 admitted.
+ */
+struct LearnedAdmission
 {
-    /** The filter applied to this call (temporal edge, filter active). */
-    bool consulted = false;
-    /** Predicted infeasible at this placement. */
-    bool reject = false;
-    /** The reject is a tier-0 structural rule (exact, never shadowed). */
-    bool provable = false;
+    /** Shadow-route every Nth learned veto (deterministic per search). */
+    static constexpr uint64_t kShadowStride = 256;
+
+    /** Veto calls this model scores below its threshold (null: none). */
+    const RoutabilityModel *model = nullptr;
+    /** Log contested calls with their real outcome to the collection
+     *  sink, headed with this fabric (null: no logging). A logging
+     *  workspace takes no veto. */
+    const arch::ArchContext *collectFor = nullptr;
+    /** Learned vetoes issued; tier-0 rejects never count. The exact
+     *  mapper reads it to tell whether a failed search may have been
+     *  pruned by a fallible prediction. */
+    uint64_t vetoes = 0;
+
+    bool armed() const { return model != nullptr || collectFor != nullptr; }
 };
 
 /**
- * Per-workspace admission front. bind() resolves the mode knob and the
- * context-held model once per attempt stream; assess() is the hot query.
- * Not thread-safe (part of a RouterWorkspace).
+ * Fill @p f (size kFeatureCount) with the learned tier's feature vector
+ * for edge @p e of @p mapping. Pure over the mapping state (binds
+ * @p ws's oracle); performs no allocation.
  */
-class RoutabilityFilter
-{
-  public:
-    /** Shadow-route every Nth learned reject (deterministic per stream). */
-    static constexpr uint64_t kShadowStride = 256;
-
-    /**
-     * Resolve mode and model against @p ctx (null disables). Modes that
-     * need a model (on / strict) degrade to off when @p ctx holds none.
-     */
-    void bind(arch::ArchContext *ctx);
-
-    /** True when assess() should be consulted at all. */
-    bool
-    enabled() const
-    {
-        return mode_ != RoutabilityMode::Off;
-    }
-
-    RoutabilityMode mode() const { return mode_; }
-
-    /**
-     * Disable the learned tier for this workspace: only the exact
-     * tier-0 structural rules may reject. Completeness-sensitive
-     * searches (the exhaustive exact mapper) use this so a learned
-     * false reject can never prune a route the enumeration needed —
-     * tier-0 rejects are router-identical, so optimality is preserved.
-     * Sticky across bind() calls.
-     */
-    void restrictToProvable() { provableOnly_ = true; }
-
-    /** Deterministic 1-in-kShadowStride sampling of learned rejects. */
-    bool shadowDue() { return (rejectTick_++ % kShadowStride) == 0; }
-
-    /**
-     * Learned (tier-1, non-provable) vetoes issued since bind(). Every
-     * `on`-mode learned reject passes through shadowDue(), so this is
-     * exact there; tier-0 rejects never tick it. Completeness-sensitive
-     * callers use it to detect that a failed search may have been pruned
-     * by a fallible prediction (see ExactMapper's fail-closed rerun).
-     */
-    uint64_t learnedRejects() const { return rejectTick_; }
-
-    /**
-     * Decide admission for edge @p e of @p mapping and fill @p f (size
-     * kFeatureCount) with the feature vector when the learned tier ran.
-     * Tier 0 is provablyUnroutable() (router.hh), so a tier-0 reject is
-     * exactly a call the router would fail. Pure over the mapping state
-     * (binds @p ws's oracle); performs no allocation.
-     */
-    RoutabilityVerdict assess(const Mapping &mapping, dfg::EdgeId e,
-                              const RouterCosts &costs, RouterWorkspace &ws,
-                              double *f);
-
-    /** Append one (features, routed?) pair to the collection sink. */
-    void logSample(const double *f, bool routed) const;
-
-  private:
-    static double
-    busyFraction(const Mapping &mapping, std::span<const int> resources)
-    {
-        if (resources.empty())
-            return 0.0;
-        int busy = 0;
-        for (int r : resources)
-            busy += mapping.numInstancesOn(r) > 0 ? 1 : 0;
-        return static_cast<double>(busy) /
-               static_cast<double>(resources.size());
-    }
-
-    std::shared_ptr<const RoutabilityModel> keepalive_;
-    const RoutabilityModel *model_ = nullptr;
-    const arch::ArchContext *boundCtx_ = nullptr;
-    RoutabilityMode mode_ = RoutabilityMode::Off;
-    bool provableOnly_ = false;
-    uint64_t rejectTick_ = 0;
-};
-
-/** @{ Mode knob: LISA_ROUTE_FILTER={off,on,strict,collect}; unset = on
- *  (inactive until a model is installed). The setter overrides the
- *  environment for tests and the bench collect flag. */
-RoutabilityMode routabilityMode();
-void setRoutabilityMode(RoutabilityMode mode);
-/** @} */
-
-namespace detail {
-/** Test-only: forget any resolved/overridden mode so the next
- *  routabilityMode() call re-runs the lazy env resolve. Exists for the
- *  TSan regression racing the resolve against setRoutabilityMode(); never
- *  call while mapping is in flight. */
-void resetRoutabilityModeForTest();
-} // namespace detail
+void fillRoutabilityFeatures(const Mapping &mapping, dfg::EdgeId e,
+                             const RouterCosts &costs, RouterWorkspace &ws,
+                             double *f);
 
 /** @{ Collection sink for --collect-routability ("" disables). The file
  *  is truncated on first write and starts with a header carrying the
  *  accelerator name, fabric fingerprint and feature version. Failures are
  *  logged unconditionally, successes 1-in-4 (rebalances the classes; the
- *  trainer's threshold selection is ratio-invariant). */
+ *  trainer's threshold selection is ratio-invariant). logRoutabilitySample
+ *  appends one (features, routed?) pair for fabric @p ctx, and is a no-op
+ *  while no sink path is set. */
 void setRoutabilityCollection(std::string path);
 bool routabilityCollecting();
+void logRoutabilitySample(const arch::ArchContext &ctx, const double *f,
+                          bool routed);
 /** @} */
 
 /**
@@ -269,7 +192,7 @@ readRoutabilityModel(const std::string &dir, const std::string &accel_name,
 /**
  * Lazily load the admission model for @p ctx's accelerator from @p dir
  * into the context slot (at most one attempt per context). A missing,
- * corrupt or foreign-fingerprint file leaves the filter disabled; this
+ * corrupt or foreign-fingerprint file leaves the learned tier unarmed; this
  * never aborts. Returns true when a model is installed after the call.
  */
 bool loadRoutabilityModel(arch::ArchContext &ctx, const std::string &dir);

@@ -80,7 +80,9 @@ prependSharedPrefix(const Mapping &mapping, dfg::EdgeId parentEdge,
  *  - Early structural fail: if no seed can reach the destination's feeder
  *    set within its remaining step budget (reverse-BFS min-hop table),
  *    the edge is unroutable at this length — return before the DP runs.
- *    Most failing route calls die here.
+ *    routeEdge's tier 0 rejects these calls before dispatch, so on that
+ *    path the check passes at the producer seed; it stays as the
+ *    kernel's own guard.
  *  - DP cell prune: a cell whose min-hop distance exceeds the remaining
  *    steps cannot lie on any feasible path. Any move predecessor of a
  *    surviving cell survives too (minHops is 1-Lipschitz along move
@@ -339,8 +341,8 @@ routeSpatial(const Mapping &mapping, dfg::EdgeId e, const RouterCosts &costs,
 /**
  * The metered search-kernel dispatch of routeEdge: stopwatch, call and
  * failure counting, growth accounting, kernel selection. Kept separate so
- * the routability filter can shadow-route a rejected edge through the
- * identical accounting path.
+ * the learned tier can shadow-route a vetoed edge through the identical
+ * accounting path.
  */
 const RouteResult *
 dispatchRoute(const Mapping &mapping, dfg::EdgeId e, const dfg::Edge &edge,
@@ -376,6 +378,37 @@ dispatchRoute(const Mapping &mapping, dfg::EdgeId e, const dfg::Edge &edge,
     return out;
 }
 
+/**
+ * The learned tier on an armed workspace (routability_filter.hh), for a
+ * contested temporal call tier 0 admitted. A collecting workspace routes
+ * and logs the call; otherwise a score below the threshold vetoes it
+ * without a search, and every kShadowStride-th veto is shadow-routed to
+ * estimate the false-reject rate. The veto stands either way.
+ */
+const RouteResult *
+routeContested(const Mapping &mapping, dfg::EdgeId e, const dfg::Edge &edge,
+               const RouterCosts &costs, RouterWorkspace &ws)
+{
+    LearnedAdmission &learned = ws.learned;
+    std::array<double, RoutabilityModel::kFeatureCount> f;
+    fillRoutabilityFeatures(mapping, e, costs, ws, f.data());
+    ++ws.counters.filterQueries;
+    if (learned.collectFor != nullptr) {
+        const RouteResult *out = dispatchRoute(mapping, e, edge, costs, ws);
+        logRoutabilitySample(*learned.collectFor, f.data(), out != nullptr);
+        return out;
+    }
+    if (learned.model->score(f.data()) >= learned.model->threshold)
+        return dispatchRoute(mapping, e, edge, costs, ws);
+    ++ws.counters.filterRejects;
+    if (learned.vetoes++ % LearnedAdmission::kShadowStride == 0) {
+        ++ws.counters.filterShadowRoutes;
+        if (dispatchRoute(mapping, e, edge, costs, ws) != nullptr)
+            ++ws.counters.filterFalseRejects;
+    }
+    return nullptr;
+}
+
 } // namespace
 
 bool
@@ -408,46 +441,17 @@ routeEdge(const Mapping &mapping, dfg::EdgeId e, const RouterCosts &costs,
     if (mapping.isRouted(e))
         panic("routeEdge: edge ", e, " already routed");
 
-    // Learned routability admission (temporal fabrics only): a
-    // predicted-unroutable candidate skips the search entirely in `on`
-    // mode, is audited in `strict` mode (the router's answer
-    // wins, so behavior is bit-identical to `off`), and is only observed
-    // in `collect` mode.
-    std::array<double, RoutabilityModel::kFeatureCount> feats;
-    RoutabilityVerdict verdict;
-    if (ws.filter.enabled() && mapping.mrrg().accel().temporalMapping()) {
-        verdict = ws.filter.assess(mapping, e, costs, ws, feats.data());
-        if (verdict.consulted)
+    if (mapping.mrrg().accel().temporalMapping()) {
+        // Tier 0: the structural rule, exact for every caller.
+        if (provablyUnroutable(mapping, e, costs, ws)) {
             ++ws.counters.filterQueries;
-        if (verdict.reject) {
             ++ws.counters.filterRejects;
-            if (ws.filter.mode() == RoutabilityMode::Strict) {
-                // Audit every predicted reject; the real route decides.
-                ++ws.counters.filterShadowRoutes;
-                const RouteResult *out =
-                    dispatchRoute(mapping, e, edge, costs, ws);
-                if (out != nullptr)
-                    ++ws.counters.filterFalseRejects;
-                return out;
-            }
-            // `on` mode: shadow-route a deterministic sample of the
-            // learned rejects to estimate the false-reject rate. The
-            // verdict stands either way — sampling spends time, never
-            // changes results.
-            if (!verdict.provable && ws.filter.shadowDue()) {
-                ++ws.counters.filterShadowRoutes;
-                if (dispatchRoute(mapping, e, edge, costs, ws) != nullptr)
-                    ++ws.counters.filterFalseRejects;
-            }
             return nullptr;
         }
+        if (!costs.allowOveruse && ws.learned.armed())
+            return routeContested(mapping, e, edge, costs, ws);
     }
-
-    const RouteResult *out = dispatchRoute(mapping, e, edge, costs, ws);
-    if (verdict.consulted &&
-        ws.filter.mode() == RoutabilityMode::Collect)
-        ws.filter.logSample(feats.data(), out != nullptr);
-    return out;
+    return dispatchRoute(mapping, e, edge, costs, ws);
 }
 
 int

@@ -52,9 +52,10 @@ struct RouteResult
  * destination's feeder set is -1 or larger than the length: every holder
  * of the value is downstream of the producer FU, so by the triangle
  * inequality over move hops no fanout seed can reach in budget either.
- * A pure function of the two endpoint placements; routeEdge returns
- * nullptr whenever it holds. Always false on spatial-only fabrics. Both
- * endpoints must be placed; binds @p ws's oracle.
+ * A pure function of the two endpoint placements; routeEdge checks it
+ * first on every temporal call and returns nullptr whenever it holds.
+ * Always false on spatial-only fabrics. Both endpoints must be placed;
+ * binds @p ws's oracle.
  */
 bool provablyUnroutable(const Mapping &mapping, dfg::EdgeId e,
                         const RouterCosts &costs, RouterWorkspace &ws);
@@ -63,10 +64,10 @@ bool provablyUnroutable(const Mapping &mapping, dfg::EdgeId e,
  * Route edge @p e of @p mapping using @p ws for all scratch state. Both
  * endpoints must be placed and the edge un-routed. Zero heap allocations
  * once the workspace has grown to the (MRRG, DFG) high-water mark.
- * Returns nullptr when no route exists (negative required length,
- * blocked resources in strict mode, or disconnection); otherwise a
- * pointer into the workspace, valid until the next routeEdge call on
- * @p ws.
+ * Returns nullptr when no route exists (tier 0 above, blocked resources
+ * in strict mode, or disconnection) or when the learned tier of an armed
+ * workspace vetoes the call (routability_filter.hh); otherwise a pointer
+ * into the workspace, valid until the next routeEdge call on @p ws.
  */
 const RouteResult *routeEdge(const Mapping &mapping, dfg::EdgeId e,
                              const RouterCosts &costs, RouterWorkspace &ws);

@@ -56,8 +56,9 @@ namespace lisa::map {
 struct RouterCounters
 {
     /** routeEdge invocations (either mode, including trivial self-loops).
-     *  Calls rejected by the routability filter without invoking a search
-     *  kernel are *not* counted here — they count filterRejects. */
+     *  Calls rejected by tier 0 or vetoed by the learned tier without
+     *  invoking a search kernel are *not* counted here — they count
+     *  filterRejects. */
     uint64_t routeEdgeCalls = 0;
     /** routeEdge calls that found no route. */
     uint64_t routeFailures = 0;
@@ -82,14 +83,15 @@ struct RouterCounters
     uint64_t contextHits = 0;
     /** Shared-context artifacts derived fresh (first consumer pays). */
     uint64_t contextMisses = 0;
-    /** Routability-filter admission queries (assess() consultations). */
+    /** Admission queries (routability_filter.hh): tier-0 rejects plus
+     *  learned-tier consultations. */
     uint64_t filterQueries = 0;
-    /** Queries predicted unroutable. In `on` mode these skip the router
-     *  entirely; in `strict` mode they are still routed for real. */
+    /** Queries answered "unroutable" (tier-0 rejects plus learned
+     *  vetoes); each skips the search kernel. */
     uint64_t filterRejects = 0;
-    /** Predicted rejects that were routed anyway to audit the prediction
-     *  (the deterministic 1-in-N sample in `on` mode; every reject in
-     *  `strict` mode). Shadow routes do count routeEdgeCalls. */
+    /** Learned vetoes routed anyway to audit the prediction (the
+     *  deterministic 1-in-N sample). Shadow routes do count
+     *  routeEdgeCalls. */
     uint64_t filterShadowRoutes = 0;
     /** Shadow-routed rejects the router in fact satisfied (false
      *  rejects); filterShadowRoutes - filterFalseRejects succeeded. */
@@ -294,9 +296,9 @@ class RouterWorkspace
      *  lazily from the shared store, invalidated on MRRG/cost changes). */
     DistanceOracle oracle;
 
-    /** Learned routability admission front; inert until a mapper binds
-     *  it to an ArchContext holding a model (see routability_filter.hh). */
-    RoutabilityFilter filter;
+    /** Learned-tier state (routability_filter.hh); idle unless the exact
+     *  mapper arms it. */
+    LearnedAdmission learned;
 
     /** Shared arch-artifact cache to resolve oracle tables through; null
      *  = build a workspace-private store (historical behavior). Set by

@@ -35,19 +35,29 @@ class Rng
     }
 
     /**
+     * Seed of stream @p stream of base seed @p base (splitmix64 mixing):
+     * independent of its sibling streams and of the base seed's own
+     * stream. The same pair always yields the same seed.
+     */
+    static uint64_t
+    splitSeed(uint64_t base, uint64_t stream)
+    {
+        uint64_t z = base + 0x9e3779b97f4a7c15ULL * (stream + 1);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+        return z ^ (z >> 31);
+    }
+
+    /**
      * Derive an independent deterministic stream from this generator's
-     * seed and @p stream_id (splitmix64 mixing). Splitting depends only on
-     * the seed, never on how many values have been drawn, so concurrent
-     * workers can split up-front and draw without synchronizing. The same
-     * (seed, stream_id) pair always yields the same stream.
+     * seed and @p stream_id (splitSeed). Splitting depends only on the
+     * seed, never on how many values have been drawn, so concurrent
+     * workers can split up-front and draw without synchronizing.
      */
     Rng
     split(uint64_t stream_id) const
     {
-        uint64_t z = seedValue + 0x9e3779b97f4a7c15ULL * (stream_id + 1);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return Rng(z ^ (z >> 31));
+        return Rng(splitSeed(seedValue, stream_id));
     }
 
     /** Uniform integer in [lo, hi] (inclusive). */

@@ -4,14 +4,14 @@
  * macros and a thin annotated mutex wrapper.
  *
  * Every shared-state subsystem in the search stack (ArchContext and its
- * OracleStores, the thread pool, the routability filter's mode/model
- * state, the portfolio incumbent) declares *which* lock guards *what*
- * directly in the type, and Clang's -Wthread-safety analysis proves at
- * compile time that no guarded member is ever touched without its
- * capability held. PR 8's routabilityMode() lost-update race is exactly
+ * OracleStores and routability-model slot, the thread pool, the
+ * routability sample sink, the portfolio incumbent) declares *which* lock
+ * guards *what* directly in the type, and Clang's -Wthread-safety
+ * analysis proves at compile time that no guarded member is ever touched
+ * without its capability held. A lost update on shared state is exactly
  * the class of bug these contracts exist to make unrepresentable: the
- * invariants used to live in reviewers' heads and in whatever TSan
- * happened to exercise; now they live in the signatures.
+ * invariants no longer live in reviewers' heads and in whatever TSan
+ * happens to exercise, but in the signatures.
  *
  * Usage:
  *

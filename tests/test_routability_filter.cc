@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the learned routability filter: model round-trip and the
- * fingerprint stale-model guard, the off-vs-strict bit-identity
- * property across SA / LISA, the tier-0 exactness of `on` mode,
- * counter flow, and the --collect-routability sample sink.
+ * Tests for the routability tiers: model round-trip and the fingerprint
+ * stale-model guard, that a model never changes SA / LISA, tier-0
+ * counter flow in the router, the exact mapper's fail-closed learned
+ * tier, and the --collect-routability sample sink.
  */
 
 #include <gtest/gtest.h>
@@ -13,15 +13,16 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "arch/arch_context.hh"
 #include "arch/cgra.hh"
 #include "core/lisa_mapper.hh"
 #include "dfg/builder.hh"
+#include "dfg/generator.hh"
 #include "mapping/ii_search.hh"
 #include "mapping/routability_filter.hh"
+#include "mapping/router_workspace.hh"
 #include "mappers/exact_mapper.hh"
 #include "mappers/sa_mapper.hh"
 #include "nn/module.hh"
@@ -34,18 +35,14 @@ namespace {
 
 using namespace lisa;
 
-/** Restore the global filter mode/collection sink on scope exit. */
-struct ModeGuard
+/** Collect into @p path until scope exit. */
+struct CollectionGuard
 {
-    explicit ModeGuard(map::RoutabilityMode mode)
+    explicit CollectionGuard(std::string path)
     {
-        map::setRoutabilityMode(mode);
+        map::setRoutabilityCollection(std::move(path));
     }
-    ~ModeGuard()
-    {
-        map::setRoutabilityMode(map::RoutabilityMode::Off);
-        map::setRoutabilityCollection("");
-    }
+    ~CollectionGuard() { map::setRoutabilityCollection(""); }
 };
 
 /** A deterministic admission model with a hand-picked threshold. */
@@ -191,93 +188,109 @@ TEST(RoutabilityFilter, CorruptOrForeignModelsDisableFilter)
     std::filesystem::remove_all(dir);
 }
 
-TEST(RoutabilityFilter, StrictModeBitIdenticalToOffAcrossMappers)
+TEST(RoutabilityFilter, ModelNeverChangesSaOrLisa)
 {
-    // The property the strict gate guarantees: with every predicted
-    // reject shadow-routed and overridden by the router's answer, the
-    // final mapping of a fixed-seed search is bit-identical to a
-    // filter-off run. An absurdly high threshold would veto every
-    // learned-tier query; these two mappers allow overuse, so their
-    // rejects come from tier 0, and strict mode shadow-routes every one.
-    // Each mapper runs one fixed-II job (see tryMapText), so no
-    // wall-clock budget decides where either mode's search stops.
+    // The learned tier belongs to the exact mapper: SA and LISA route
+    // with overuse allowed and never arm it. An absurdly high threshold
+    // would veto every learned-tier query, so if either mapper consulted
+    // the model its fixed-seed mapping would change. Each mapper runs
+    // one fixed-II job (see tryMapText), so no wall-clock budget decides
+    // where either run's search stops.
     arch::CgraArch accel(arch::baselineCgra(4, 4));
-    arch::ArchContext ctx(accel);
-    ctx.setRoutabilityModel(makeModel(1e9, ctx.fingerprint()));
+    arch::ArchContext plain(accel);
+    arch::ArchContext with_model(accel);
+    with_model.setRoutabilityModel(makeModel(1e9, with_model.fingerprint()));
     auto w = workloads::workloadByName("gemm");
     const dfg::Analysis an(w.dfg);
     const auto labels = labelsFor(w.dfg);
 
     // SA and LISA map at the MII in well under a second.
-    auto runAll = [&](map::MapperStats *sa_stats) {
+    auto runAll = [&](arch::ArchContext &ctx, map::MapperStats *stats) {
         std::vector<std::string> texts;
         map::SaMapper sa;
-        texts.push_back(tryMapText(sa, w.dfg, an, ctx, 1, sa_stats));
+        texts.push_back(tryMapText(sa, w.dfg, an, ctx, 1, stats));
         core::LisaMapper lisa(labels);
-        texts.push_back(tryMapText(lisa, w.dfg, an, ctx, 1, nullptr));
+        texts.push_back(tryMapText(lisa, w.dfg, an, ctx, 1, stats));
         return texts;
     };
 
-    std::vector<std::string> off_texts;
-    {
-        ModeGuard guard(map::RoutabilityMode::Off);
-        off_texts = runAll(nullptr);
-    }
-    for (const std::string &t : off_texts)
+    const std::vector<std::string> plain_texts = runAll(plain, nullptr);
+    for (const std::string &t : plain_texts)
         ASSERT_FALSE(t.empty());
 
     map::MapperStats probe;
-    std::vector<std::string> strict_texts;
-    {
-        ModeGuard guard(map::RoutabilityMode::Strict);
-        strict_texts = runAll(&probe);
-    }
-    EXPECT_EQ(off_texts, strict_texts);
-    // Strict mode audits every reject: each one is shadow-routed.
-    EXPECT_GT(probe.router.filterQueries, 0u);
+    EXPECT_EQ(plain_texts, runAll(with_model, &probe));
+    // Tier 0 acted; the learned tier never did.
     EXPECT_GT(probe.router.filterRejects, 0u);
-    EXPECT_EQ(probe.router.filterShadowRoutes, probe.router.filterRejects);
+    EXPECT_EQ(probe.router.filterQueries, probe.router.filterRejects);
+    EXPECT_EQ(probe.router.filterShadowRoutes, 0u);
 }
 
-TEST(RoutabilityFilter, OnModeTier0RulesMatchRouterExactly)
+TEST(RoutabilityFilter, Tier0RejectsSkipRouterCalls)
 {
-    // threshold -inf disables the learned tier, leaving only the
-    // provable structural rules — which reject precisely the calls the
-    // router would fail on its own structural check. `on` mode must
-    // therefore stay bit-identical to off while skipping real work. One
-    // fixed-II job (see tryMapText), so no wall-clock budget decides how
-    // many calls either mode makes.
+    // Tier 0 is routeEdge's own exit: a call the structural rule marks
+    // dead counts filterQueries and filterRejects, is never shadowed, and
+    // costs no routeEdgeCalls; every other call costs exactly one.
     arch::CgraArch accel(arch::baselineCgra(4, 4));
     arch::ArchContext ctx(accel);
-    ctx.setRoutabilityModel(makeModel(-1e9, ctx.fingerprint()));
+    Rng rng(5);
+    dfg::GeneratorConfig gen;
+    gen.minNodes = 8;
+    gen.maxNodes = 16;
+    int dead_calls = 0;
+    for (bool allow_overuse : {true, false}) {
+        map::RouterCosts costs;
+        costs.allowOveruse = allow_overuse;
+        map::RouterWorkspace ws;
+        ws.archContext = &ctx;
+        for (int ii = 1; ii <= 3; ++ii) {
+            const dfg::Dfg g = dfg::generateRandomDfg(gen, rng);
+            map::Mapping m(g, ctx.mrrgFor(ii));
+            for (dfg::NodeId v = 0;
+                 v < static_cast<dfg::NodeId>(g.numNodes()); ++v) {
+                m.placeNode(v,
+                            PeId{static_cast<int>(rng.index(
+                                static_cast<size_t>(accel.numPes())))},
+                            AbsTime{static_cast<int>(rng.index(
+                                static_cast<size_t>(m.horizon())))});
+            }
+            for (dfg::EdgeId e = 0;
+                 e < static_cast<dfg::EdgeId>(g.numEdges()); ++e) {
+                const bool dead = map::provablyUnroutable(m, e, costs, ws);
+                const map::RouterCounters before = ws.counters;
+                const map::RouteResult *r = map::routeEdge(m, e, costs, ws);
+                const map::RouterCounters &after = ws.counters;
+                if (dead) {
+                    ++dead_calls;
+                    EXPECT_EQ(r, nullptr);
+                    EXPECT_EQ(after.routeEdgeCalls, before.routeEdgeCalls);
+                    EXPECT_EQ(after.filterQueries, before.filterQueries + 1);
+                    EXPECT_EQ(after.filterRejects, before.filterRejects + 1);
+                } else {
+                    EXPECT_EQ(after.routeEdgeCalls,
+                              before.routeEdgeCalls + 1);
+                    EXPECT_EQ(after.filterRejects, before.filterRejects);
+                }
+                if (r)
+                    m.setRoute(e, r->path);
+            }
+        }
+        // Tier-0 rejects are exact: never shadowed, never false.
+        EXPECT_EQ(ws.counters.filterShadowRoutes, 0u);
+        EXPECT_EQ(ws.counters.filterFalseRejects, 0u);
+    }
+    EXPECT_GT(dead_calls, 0);
+
+    // The same holds inside a mapper: an SA job's every filter query is
+    // a tier-0 reject.
     auto w = workloads::workloadByName("atax");
     const dfg::Analysis an(w.dfg);
-
-    std::string off_text;
-    map::MapperStats off_stats;
-    {
-        ModeGuard guard(map::RoutabilityMode::Off);
-        map::SaMapper sa;
-        off_text = tryMapText(sa, w.dfg, an, ctx, 2, &off_stats);
-    }
-    ASSERT_FALSE(off_text.empty());
-
-    std::string on_text;
-    map::MapperStats on_stats;
-    {
-        ModeGuard guard(map::RoutabilityMode::On);
-        map::SaMapper sa;
-        on_text = tryMapText(sa, w.dfg, an, ctx, 2, &on_stats);
-    }
-    EXPECT_EQ(off_text, on_text);
-    EXPECT_GT(on_stats.router.filterQueries, 0u);
-    EXPECT_GT(on_stats.router.filterRejects, 0u);
-    // Provable rejects are never shadow-routed and never false.
-    EXPECT_EQ(on_stats.router.filterShadowRoutes, 0u);
-    EXPECT_EQ(on_stats.router.filterFalseRejects, 0u);
-    // Every reject skipped a router invocation the off run paid for.
-    EXPECT_LT(on_stats.router.routeEdgeCalls,
-              off_stats.router.routeEdgeCalls);
+    map::MapperStats stats;
+    map::SaMapper sa;
+    ASSERT_FALSE(tryMapText(sa, w.dfg, an, ctx, 2, &stats).empty());
+    EXPECT_GT(stats.router.filterRejects, 0u);
+    EXPECT_EQ(stats.router.filterQueries, stats.router.filterRejects);
+    EXPECT_EQ(stats.router.filterShadowRoutes, 0u);
 }
 
 TEST(RoutabilityFilter, ExactMapperFailClosedUnderAlwaysRejectModel)
@@ -286,14 +299,16 @@ TEST(RoutabilityFilter, ExactMapperFailClosedUnderAlwaysRejectModel)
     // at face value, flip every feasible instance to "unmappable" in the
     // exact mapper — its hard-capacity calls are the learned tier's whole
     // population. The fail-closed protocol reruns a completed
-    // empty-handed enumeration router-exact on the remaining budget, so
-    // the mapper must still find the filter-off mapping bit-identically.
-    // The instance is tiny on purpose: with every route vetoed the first
-    // pass degenerates to enumerating all placement prefixes, and it must
-    // *complete* (not time out) for the rerun to be the thing under test.
+    // empty-handed enumeration without the model on the remaining
+    // budget, so the mapper must still find the model-free mapping
+    // bit-identically. The instance is tiny on purpose: with every route
+    // vetoed the first pass degenerates to enumerating all placement
+    // prefixes, and it must *complete* (not time out) for the rerun to be
+    // the thing under test.
     arch::CgraArch accel(arch::baselineCgra(4, 4));
-    arch::ArchContext ctx(accel);
-    ctx.setRoutabilityModel(makeModel(1e9, ctx.fingerprint()));
+    arch::ArchContext plain(accel);
+    arch::ArchContext with_model(accel);
+    with_model.setRoutabilityModel(makeModel(1e9, with_model.fingerprint()));
     dfg::DfgBuilder b("c2");
     auto x = b.load("x");
     b.op(dfg::OpCode::Add, {x});
@@ -301,9 +316,8 @@ TEST(RoutabilityFilter, ExactMapperFailClosedUnderAlwaysRejectModel)
     dfg::Analysis an(g);
     auto mrrg = std::make_shared<const arch::Mrrg>(accel, 1);
 
-    auto runOnce = [&](map::RoutabilityMode mode, map::ExactConfig cfg,
+    auto runOnce = [&](arch::ArchContext &ctx, map::ExactConfig cfg,
                        map::MapperStats *stats) {
-        ModeGuard guard(mode);
         map::ExactMapper ex(cfg);
         Rng rng(1);
         map::MapContext mctx{g, an, mrrg, 10.0, rng};
@@ -313,27 +327,22 @@ TEST(RoutabilityFilter, ExactMapperFailClosedUnderAlwaysRejectModel)
         return m.has_value() ? verify::mappingToText(*m) : std::string{};
     };
 
-    const std::string off_text =
-        runOnce(map::RoutabilityMode::Off, {}, nullptr);
-    ASSERT_FALSE(off_text.empty());
+    const std::string plain_text = runOnce(plain, {}, nullptr);
+    ASSERT_FALSE(plain_text.empty());
 
-    map::MapperStats on_stats;
-    const std::string on_text =
-        runOnce(map::RoutabilityMode::On, {}, &on_stats);
-    EXPECT_EQ(off_text, on_text);
+    map::MapperStats model_stats;
+    EXPECT_EQ(plain_text, runOnce(with_model, {}, &model_stats));
     // The first pass must actually have taken learned vetoes (every
-    // learned reject shadow-samples, the first unconditionally) for the
-    // router-exact rerun to be the thing under test.
-    EXPECT_GT(on_stats.router.filterShadowRoutes, 0u);
+    // learned veto shadow-samples, the first unconditionally) for the
+    // model-free rerun to be the thing under test.
+    EXPECT_GT(model_stats.router.filterShadowRoutes, 0u);
 
     // Opting out of learned pruning takes tier-0 structural rejects
     // only: same mapping in a single pass, no learned vetoes at all.
     map::ExactConfig tier0_only;
     tier0_only.learnedPruning = false;
     map::MapperStats tier0_stats;
-    const std::string tier0_text =
-        runOnce(map::RoutabilityMode::On, tier0_only, &tier0_stats);
-    EXPECT_EQ(off_text, tier0_text);
+    EXPECT_EQ(plain_text, runOnce(with_model, tier0_only, &tier0_stats));
     EXPECT_EQ(tier0_stats.router.filterShadowRoutes, 0u);
     EXPECT_EQ(tier0_stats.router.filterFalseRejects, 0u);
 }
@@ -347,8 +356,7 @@ TEST(RoutabilityFilter, CollectModeWritesLabeledSamples)
     auto w = workloads::workloadByName("gemm");
 
     {
-        ModeGuard guard(map::RoutabilityMode::Collect);
-        map::setRoutabilityCollection(path);
+        CollectionGuard guard(path);
         EXPECT_TRUE(map::routabilityCollecting());
         // Only contested (hard-capacity) calls are collected, so drive
         // the exact mapper: it routes with allowOveruse=false.
@@ -387,42 +395,6 @@ TEST(RoutabilityFilter, CollectModeWritesLabeledSamples)
     }
     EXPECT_GT(lines, 0);
     std::filesystem::remove(path);
-}
-
-/**
- * TSan regression pinning the PR 8 mode-knob fix: routabilityMode()'s
- * lazy LISA_ROUTE_FILTER resolve publishes with a compare-exchange from
- * the unresolved sentinel, so a concurrent setRoutabilityMode() — an
- * explicit override from a test or the bench collect flag — can never be
- * overwritten by the env default losing the race. Runs in the CI tsan
- * job (the RoutabilityModeRace filter entry), where the pre-fix plain
- * store is both a reported race and a visible lost update.
- */
-TEST(RoutabilityModeRace, ExplicitOverrideBeatsEnvResolve)
-{
-    for (int iter = 0; iter < 200; ++iter) {
-        map::detail::resetRoutabilityModeForTest();
-        std::atomic<bool> go{false};
-        std::thread resolver([&go] {
-            while (!go.load(std::memory_order_acquire)) {
-            }
-            (void)map::routabilityMode();
-        });
-        std::thread setter([&go] {
-            while (!go.load(std::memory_order_acquire)) {
-            }
-            map::setRoutabilityMode(map::RoutabilityMode::Strict);
-        });
-        go.store(true, std::memory_order_release);
-        resolver.join();
-        setter.join();
-        EXPECT_EQ(map::routabilityMode(), map::RoutabilityMode::Strict)
-            << "lazy env resolve overwrote an explicit override "
-            << "(iteration " << iter << ")";
-    }
-    // Leave the knob as the process started: unresolved, so the next
-    // consumer re-runs the env resolve instead of inheriting Strict.
-    map::detail::resetRoutabilityModeForTest();
 }
 
 } // namespace

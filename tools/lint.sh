@@ -26,9 +26,8 @@
 # fresh vector — is a hot-loop allocation and must be rewritten against
 # the workspace.
 #
-# Some hot-listed files also carry genuinely cold code: model loading and
-# the one-time LISA_ROUTE_FILTER resolve in routability_filter.cc, the
-# per-race setup in portfolio.hh. Wrap those in `lint:cold-begin(reason)`
+# Some hot-listed files also carry genuinely cold code: model loading in
+# routability_filter.cc, the per-race setup in portfolio.hh. Wrap those in `lint:cold-begin(reason)`
 # / `lint:cold-end` marker comments and every rule skips the region; unbalanced markers fail the lint. The markers
 # are deliberately loud in review — a region creeping into a hot loop
 # has to move out of the markers first.
@@ -56,12 +55,10 @@ HOT_FILES=(
     src/serve/cache.cc
 )
 
-# Every environment variable the library reads. LISA_ROUTE_FILTER goes
-# with the learned routability tier.
+# Every environment variable the library reads.
 ENV_KNOBS=(
     LISA_THREADS
     LISA_SERVE_CACHE
-    LISA_ROUTE_FILTER
 )
 
 ALLOC_RE='(^|[^[:alnum:]_."])new[[:space:]]|std::make_unique|std::make_shared|[^[:alnum:]_]malloc[[:space:]]*\(|[^[:alnum:]_]calloc[[:space:]]*\(|[^[:alnum:]_]realloc[[:space:]]*\('
