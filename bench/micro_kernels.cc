@@ -1,9 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the hot primitives: DFG analysis,
- * attribute generation, MRRG construction, single-edge routing, router
- * churn (the SA/LISA inner loop), the router's per-call clock pair, and
- * one GNN forward pass.
+ * DFG text parsing and canonicalization (the lisa-serve hit path before
+ * the cache probe), attribute generation, MRRG construction, single-edge
+ * routing, router churn (the SA/LISA inner loop), the router's per-call
+ * clock pair, and one GNN forward pass.
  *
  * Compiled twice: as `micro_kernels` (everything) and as `router_bench`
  * (LISA_ROUTER_BENCH_ONLY defined — just the router-churn benchmarks,
@@ -16,7 +17,10 @@
 #include "arch/cgra.hh"
 #include "arch/systolic.hh"
 #include "dfg/analysis.hh"
+#include "dfg/canonical.hh"
 #include "dfg/generator.hh"
+#include "dfg/serialize.hh"
+#include "dfg_text_reference.hh"
 #include "gnn/attributes.hh"
 #include "gnn/schedule_order_net.hh"
 #include "mapping/router.hh"
@@ -147,6 +151,64 @@ BM_Analysis(benchmark::State &state)
     }
 }
 BENCHMARK(BM_Analysis)->Arg(16)->Arg(32)->Arg(64);
+
+/** Range value 0: the 12 fig9a (PolyBench) kernels; 1: one load
+ *  feeding 511 stores, a symmetric fan that spends the canonicalizer's
+ *  whole work budget. */
+std::vector<dfg::Dfg>
+serveGraphs(int64_t set)
+{
+    std::vector<dfg::Dfg> out;
+    if (set == 0) {
+        for (const workloads::Workload &w : workloads::polybenchSuite())
+            out.push_back(w.dfg);
+        return out;
+    }
+    dfg::Dfg fan("fan");
+    const dfg::NodeId load = fan.addNode(dfg::OpCode::Load);
+    for (int i = 0; i < 511; ++i)
+        fan.addEdge(load, fan.addNode(dfg::OpCode::Store));
+    out.push_back(std::move(fan));
+    return out;
+}
+
+/** Parse every graph of serveGraphs(range 0) from its text; range 1
+ *  selects dfg::fromText (0) or the reference istream reader (1).
+ *  Reports graphs/s. */
+void
+BM_DfgFromText(benchmark::State &state)
+{
+    std::vector<std::string> texts;
+    for (const dfg::Dfg &g : serveGraphs(state.range(0)))
+        texts.push_back(dfg::toText(g));
+    const bool reference = state.range(1) != 0;
+    for (auto _ : state)
+        for (const std::string &text : texts) {
+            auto g = reference ? dfg::fromTextReference(text)
+                               : dfg::fromText(text);
+            benchmark::DoNotOptimize(g);
+        }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(texts.size()));
+}
+BENCHMARK(BM_DfgFromText)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1});
+
+/** Canonicalize every graph of serveGraphs(range 0); reports graphs/s. */
+void
+BM_Canonicalize(benchmark::State &state)
+{
+    const std::vector<dfg::Dfg> graphs = serveGraphs(state.range(0));
+    for (auto _ : state)
+        for (const dfg::Dfg &g : graphs)
+            benchmark::DoNotOptimize(dfg::canonicalize(g).hash);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(graphs.size()));
+}
+BENCHMARK(BM_Canonicalize)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void
 BM_AttributesGenerator(benchmark::State &state)

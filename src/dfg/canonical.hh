@@ -26,7 +26,13 @@
  *     permutation-invariant even though any single traversal order is
  *     not. Automorphism groups of real kernel DFGs are tiny, so this
  *     branch-and-min almost never explores more than a handful of
- *     leaves; a generous work budget guards the pathological case.
+ *     leaves. A budget of refinement work (node plus incident-edge
+ *     visits, far above what any real kernel spends) bounds the
+ *     pathological case, such as a load feeding hundreds of stores: a
+ *     search that would overspend it is abandoned, and the ties left
+ *     after step 1 are broken by original node id. That fallback form
+ *     is deterministic and re-canonicalizes to itself, but it is not
+ *     permutation-invariant.
  *
  * The canonical text is the dfg/serialize text format over renumbered
  * nodes with a fixed graph name and no node-name tags, edges sorted by

@@ -37,7 +37,7 @@ opName(OpCode op)
 }
 
 std::optional<OpCode>
-opFromName(const std::string &name)
+opFromName(std::string_view name)
 {
     for (const auto &p : kOpNames)
         if (name == p.name)

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace lisa::dfg {
@@ -44,7 +45,7 @@ const char *opName(OpCode op);
 
 /** Parse a mnemonic produced by opName(); std::nullopt on unknown
  *  names. */
-std::optional<OpCode> opFromName(const std::string &name);
+std::optional<OpCode> opFromName(std::string_view name);
 
 /** @return true for Load/Store, which may be restricted to memory PEs. */
 bool isMemoryOp(OpCode op);

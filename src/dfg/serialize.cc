@@ -1,6 +1,8 @@
 #include "dfg/serialize.hh"
 
+#include <charconv>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 
@@ -32,76 +34,113 @@ toText(const Dfg &dfg)
     return os.str();
 }
 
+namespace {
+
+/** Token separators: the C locale's isspace() minus '\n', which ends a
+ *  record. */
+bool
+isSeparator(char c)
+{
+    return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+}
+
+/** Pop the next separator-delimited token off the front of @p line;
+ *  empty once the line is used up. */
+std::string_view
+nextToken(std::string_view &line)
+{
+    size_t begin = 0;
+    while (begin < line.size() && isSeparator(line[begin]))
+        ++begin;
+    size_t end = begin;
+    while (end < line.size() && !isSeparator(line[end]))
+        ++end;
+    const std::string_view token = line.substr(begin, end - begin);
+    line.remove_prefix(end);
+    return token;
+}
+
+/** Read all of @p token as a decimal integer with an optional sign. A
+ *  token with anything after its digits ("3x", "2.5") is no integer. */
+template <typename Int>
+bool
+parseInt(std::string_view token, Int &out)
+{
+    if (token.size() > 1 && token[0] == '+' && token[1] != '-')
+        token.remove_prefix(1);
+    const char *end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+    return ec == std::errc() && ptr == end;
+}
+
+} // namespace
+
 std::optional<Dfg>
-readText(std::istream &is, std::string *error)
+fromText(std::string_view text, std::string *error)
 {
     auto fail = [&](const std::string &why) -> std::optional<Dfg> {
         if (error)
             *error = why;
         return std::nullopt;
     };
+    int lineno = 0;
+    auto failLine = [&](const std::string &why) {
+        return fail("line " + std::to_string(lineno) + ": " + why);
+    };
 
     Dfg g;
-    std::string line;
-    int lineno = 0;
     bool have_header = false;
-    while (std::getline(is, line)) {
+    while (!text.empty()) {
+        const size_t eol = text.find('\n');
+        std::string_view line = text.substr(0, eol);
+        text.remove_prefix(eol == std::string_view::npos ? text.size()
+                                                          : eol + 1);
         ++lineno;
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line.resize(hash);
-        std::istringstream ls(line);
-        std::string kind;
-        if (!(ls >> kind))
+        line = line.substr(0, line.find('#'));
+        const std::string_view kind = nextToken(line);
+        if (kind.empty())
             continue; // blank line
         if (kind == "dfg") {
-            std::string name;
-            ls >> name;
-            g.setName(name);
+            g.setName(std::string(nextToken(line)));
             have_header = true;
         } else if (kind == "node") {
-            int id;
-            std::string op, name;
-            if (!(ls >> id >> op))
-                return fail("line " + std::to_string(lineno) +
-                            ": malformed node record");
+            int id = 0;
+            if (!parseInt(nextToken(line), id))
+                return failLine("malformed node record");
+            const std::string_view op = nextToken(line);
+            if (op.empty())
+                return failLine("malformed node record");
             if (id != static_cast<int>(g.numNodes()))
-                return fail("line " + std::to_string(lineno) +
-                            ": node ids must be dense and ascending");
+                return failLine("node ids must be dense and ascending");
             if (g.numNodes() >= kMaxTextNodes)
-                return fail("line " + std::to_string(lineno) +
-                            ": more than " + std::to_string(kMaxTextNodes) +
-                            " nodes");
+                return failLine("more than " +
+                                std::to_string(kMaxTextNodes) + " nodes");
             const std::optional<OpCode> code = opFromName(op);
             if (!code)
-                return fail("line " + std::to_string(lineno) +
-                            ": unknown op '" + op + "'");
-            ls >> name;
-            g.addNode(*code, name);
+                return failLine("unknown op '" + std::string(op) + "'");
+            g.addNode(*code, std::string(nextToken(line)));
         } else if (kind == "edge") {
-            int src, dst, dist = 0;
-            if (!(ls >> src >> dst))
-                return fail("line " + std::to_string(lineno) +
-                            ": malformed edge record");
-            ls >> dist;
+            int src = 0, dst = 0;
+            long long dist = 0;
+            if (!parseInt(nextToken(line), src) ||
+                !parseInt(nextToken(line), dst))
+                return failLine("malformed edge record");
+            const std::string_view dist_token = nextToken(line);
+            if (!dist_token.empty() && !parseInt(dist_token, dist))
+                return failLine("malformed edge record");
             if (src < 0 || dst < 0 ||
                 src >= static_cast<int>(g.numNodes()) ||
-                dst >= static_cast<int>(g.numNodes())) {
-                return fail("line " + std::to_string(lineno) +
-                            ": edge endpoint out of range");
-            }
+                dst >= static_cast<int>(g.numNodes()))
+                return failLine("edge endpoint out of range");
             if (dist < 0 || dist > kMaxTextIterDistance)
-                return fail("line " + std::to_string(lineno) +
-                            ": iteration distance outside 0.." +
-                            std::to_string(kMaxTextIterDistance));
+                return failLine("iteration distance outside 0.." +
+                                std::to_string(kMaxTextIterDistance));
             if (g.numEdges() >= kMaxTextEdges)
-                return fail("line " + std::to_string(lineno) +
-                            ": more than " + std::to_string(kMaxTextEdges) +
-                            " edges");
-            g.addEdge(src, dst, dist);
+                return failLine("more than " +
+                                std::to_string(kMaxTextEdges) + " edges");
+            g.addEdge(src, dst, static_cast<int>(dist));
         } else {
-            return fail("line " + std::to_string(lineno) +
-                        ": unknown record '" + kind + "'");
+            return failLine("unknown record '" + std::string(kind) + "'");
         }
     }
     if (!have_header)
@@ -113,10 +152,10 @@ readText(std::istream &is, std::string *error)
 }
 
 std::optional<Dfg>
-fromText(const std::string &text, std::string *error)
+readText(std::istream &is, std::string *error)
 {
-    std::istringstream is(text);
-    return readText(is, error);
+    const std::string text(std::istreambuf_iterator<char>(is), {});
+    return fromText(text, error);
 }
 
 std::string

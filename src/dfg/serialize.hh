@@ -8,7 +8,11 @@
  *   node <id> <op> [name]
  *   edge <src> <dst> [iterDistance]
  * @endcode
- * Node ids must be dense and ascending from 0.
+ * Node ids must be dense and ascending from 0. Fields are separated by
+ * space, '\t', '\r', '\v' or '\f', so CRLF text reads as LF text, and
+ * tokens after the last field of a record are ignored. Every integer
+ * field is a whole token: an optional sign and decimal digits, nothing
+ * else ("3x" and "2.5" are malformed).
  */
 
 #ifndef LISA_DFG_SERIALIZE_HH
@@ -17,6 +21,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "dfg/dfg.hh"
 
@@ -46,15 +51,17 @@ std::string toText(const Dfg &dfg);
 
 /**
  * Parse the text format. Returns std::nullopt (and fills @p error if
- * non-null) on malformed input, including an unknown op mnemonic, a
- * negative iteration distance or one above kMaxTextIterDistance, and
- * more than kMaxTextNodes nodes or kMaxTextEdges edges.
+ * non-null, with "line N: ..." for a bad record) on malformed input,
+ * including an unknown op mnemonic, a negative iteration distance or one
+ * above kMaxTextIterDistance, more than kMaxTextNodes nodes or
+ * kMaxTextEdges edges, and a graph that fails Dfg::validate(): a parsed
+ * graph needs no second validation.
  */
-std::optional<Dfg> readText(std::istream &is, std::string *error = nullptr);
-
-/** Parse the text format from a string. */
-std::optional<Dfg> fromText(const std::string &text,
+std::optional<Dfg> fromText(std::string_view text,
                             std::string *error = nullptr);
+
+/** fromText() over the rest of @p is. */
+std::optional<Dfg> readText(std::istream &is, std::string *error = nullptr);
 
 /** Render a Graphviz dot view (for debugging / docs). */
 std::string toDot(const Dfg &dfg);

@@ -24,15 +24,15 @@ struct Dfs
     Mapping &mapping;
     const ExactConfig &cfg;
     const std::vector<dfg::NodeId> &order;
-    Stopwatch timer;
+    Stopwatch timer{};
     bool timedOut = false;
-    RouterWorkspace ws;
+    RouterWorkspace ws{};
     /** Placement trials taken (each placeNode tried counts one); the
      *  bench att/s denominator for ILP* rows. Published to the shared
      *  MapContext counter once per tryMap, not per trial. */
     long placements = 0;
     /** Rip-up set of routeIncidentStrict, refilled per call. */
-    std::vector<dfg::EdgeId> pending;
+    std::vector<dfg::EdgeId> pending{};
 
     bool place(size_t depth);
     bool routeIncidentStrict(dfg::NodeId v,
@@ -135,8 +135,10 @@ std::optional<Mapping>
 ExactMapper::tryMap(const MapContext &ctx)
 {
     Mapping mapping(ctx.dfg, ctx.mrrg);
-    Dfs dfs{ctx, mapping, cfg, ctx.analysis.topoOrder(), Stopwatch{},
-            false, {}};
+    Dfs dfs{.ctx = ctx,
+            .mapping = mapping,
+            .cfg = cfg,
+            .order = ctx.analysis.topoOrder()};
     dfs.ws.archContext = ctx.archCtx;
     // The learned tier is this search's alone: it is the only caller
     // whose hard-capacity routes the model adjudicates. Learned vetoes

@@ -95,6 +95,16 @@ MappingService::stats() const
 MappingService::ArchEntry *
 MappingService::archFor(const std::string &spec, std::string *error)
 {
+    // Registry keys are canonical spec lines and accelSpecOf() of a
+    // parsed canonical line gives that line back, so a request that
+    // spells its fabric canonically (as clients echoing accelSpecOf do)
+    // resolves without a parse.
+    {
+        support::LockGuard lock(mu);
+        auto it = archs.find(spec);
+        if (it != archs.end())
+            return it->second.get();
+    }
     auto accel = verify::accelFromSpec(spec, error);
     if (!accel)
         return nullptr;
@@ -184,11 +194,7 @@ MappingService::map(const MapRequest &req)
         out.error = "dfg: " + error;
         return out;
     }
-    dfg::Dfg request_dfg = std::move(*parsed);
-    if (!request_dfg.validate(&error)) {
-        out.error = "dfg: " + error;
-        return out;
-    }
+    const dfg::Dfg &request_dfg = *parsed;
 
     ArchEntry *arch = archFor(req.accelSpec, &error);
     if (!arch) {

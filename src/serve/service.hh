@@ -153,8 +153,10 @@ class MappingService
     };
 
     /** Find-or-create the ArchEntry for @p spec. nullptr + @p error on a
-     *  malformed spec. The returned pointer is stable for the service's
-     *  lifetime (entries are never removed). */
+     *  malformed spec. A spec already spelled as a registry key resolves
+     *  without a parse; any other spelling is parsed and normalized. The
+     *  returned pointer is stable for the service's lifetime (entries
+     *  are never removed). */
     ArchEntry *archFor(const std::string &spec, std::string *error)
         LISA_EXCLUDES(mu);
 

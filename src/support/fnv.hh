@@ -23,10 +23,14 @@
 
 namespace lisa::support {
 
+/** FNV-1a 64-bit offset basis and prime. */
+inline constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ull;
+inline constexpr uint64_t kFnvPrime = 1099511628211ull;
+
 /** Incremental FNV-1a 64-bit hasher. */
 struct Fnv1a
 {
-    uint64_t h = 1469598103934665603ull;
+    uint64_t h = kFnvOffsetBasis;
 
     void
     bytes(const void *data, size_t n)
@@ -34,7 +38,7 @@ struct Fnv1a
         const auto *p = static_cast<const unsigned char *>(data);
         for (size_t i = 0; i < n; ++i) {
             h ^= p[i];
-            h *= 1099511628211ull;
+            h *= kFnvPrime;
         }
     }
 
@@ -44,7 +48,7 @@ struct Fnv1a
     {
         for (int i = 0; i < 8; ++i) {
             h ^= (v >> (8 * i)) & 0xff;
-            h *= 1099511628211ull;
+            h *= kFnvPrime;
         }
     }
 
@@ -55,7 +59,7 @@ struct Fnv1a
         const auto u = static_cast<uint32_t>(v);
         for (int i = 0; i < 4; ++i) {
             h ^= (u >> (8 * i)) & 0xff;
-            h *= 1099511628211ull;
+            h *= kFnvPrime;
         }
     }
 

@@ -3,7 +3,9 @@
  * Property suite for canonical DFG hashing (dfg/canonical.hh) — the
  * serve cache's key function. The load-bearing property is invariance:
  * any two ways of writing down the same graph must collide, and any two
- * different graphs must (modulo 64-bit hash luck) differ.
+ * different graphs must (modulo 64-bit hash luck) differ. Golden values
+ * pin the forms of the 12 PolyBench kernels, so cache files written by
+ * an earlier build keep hitting.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +18,9 @@
 #include "dfg/canonical.hh"
 #include "dfg/generator.hh"
 #include "dfg/serialize.hh"
+#include "support/fnv.hh"
 #include "support/random.hh"
+#include "workloads/registry.hh"
 
 namespace {
 
@@ -228,6 +232,113 @@ TEST(Canonical, HashMatchesTextHashHelper)
     const CanonicalDfg canon = canonicalize(g);
     EXPECT_EQ(canonicalHash(g), canon.hash);
     EXPECT_NE(canon.hash, 0u);
+}
+
+TEST(Canonical, Fig9aFormsArePinned)
+{
+    // Canonical hash (FNV-1a of the canonical text, so it pins the text)
+    // and FNV-1a over nodeOrder then edgeOrder (the tables a hit
+    // translates a stored mapping through), for each fig9a kernel. A
+    // change here makes every LSRV cache file on disk miss.
+    struct Golden
+    {
+        const char *name;
+        uint64_t hash;
+        uint64_t tables;
+    };
+    const Golden kGolden[] = {
+        {"atax", 0xd768521578f93297ull, 0x0e28398929614043ull},
+        {"bicg", 0x091b8821c0067bfbull, 0xa0c9c126f0f3f0d7ull},
+        {"doitgen", 0x2c1ee20f9c68ca18ull, 0x9e01bad9ed5f3f24ull},
+        {"gemm", 0xde702af879cfb83aull, 0x2cdb3f04de521b92ull},
+        {"gemver", 0x21bf482d59050193ull, 0x7a2fe94a8eea269cull},
+        {"gesummv", 0x9256ace8e0aa3966ull, 0x161334e24711f186ull},
+        {"mm2", 0x73ca3400cc9c34b3ull, 0xa74441e388a4e06full},
+        {"mvt", 0xc0ee4ab530a616cfull, 0x56905ab89175fadfull},
+        {"symm", 0xb78fadebb2d4e4c3ull, 0x29ec924a8798542full},
+        {"syr2k", 0x272784c375e5c1e4ull, 0xb51771cd6b47837full},
+        {"syrk", 0xde702af879cfb83aull, 0x2cdb3f04de521b92ull},
+        {"trmm", 0x1db9ff0deedad89aull, 0x088848f2eaab5cb2ull},
+    };
+    const std::vector<lisa::workloads::Workload> suite =
+        lisa::workloads::polybenchSuite();
+    ASSERT_EQ(suite.size(), std::size(kGolden));
+    Rng rng(9);
+    for (size_t k = 0; k < suite.size(); ++k) {
+        const Dfg &g = suite[k].dfg;
+        ASSERT_EQ(suite[k].name, kGolden[k].name);
+        const CanonicalDfg canon = canonicalize(g);
+        EXPECT_EQ(canon.hash, lisa::support::fnv1a(canon.text));
+        EXPECT_EQ(canon.hash, kGolden[k].hash) << suite[k].name;
+        lisa::support::Fnv1a tables;
+        for (NodeId v : canon.nodeOrder)
+            tables.i32(v);
+        for (EdgeId e : canon.edgeOrder)
+            tables.i32(e);
+        EXPECT_EQ(tables.h, kGolden[k].tables) << suite[k].name;
+
+        // Renumbered variants collide on the pinned hash.
+        for (int round = 0; round < 3; ++round) {
+            std::vector<NodeId> perm(g.numNodes());
+            std::iota(perm.begin(), perm.end(), 0);
+            rng.shuffle(perm);
+            std::vector<EdgeId> edge_order(g.numEdges());
+            std::iota(edge_order.begin(), edge_order.end(), 0);
+            rng.shuffle(edge_order);
+            EXPECT_EQ(canonicalHash(permuted(g, perm, edge_order)),
+                      kGolden[k].hash)
+                << suite[k].name << " round " << round;
+        }
+    }
+}
+
+/** @p g canonicalizes to a form that round-trips through fromText and
+ *  re-canonicalizes to itself. */
+void
+expectFixpoint(const Dfg &g)
+{
+    const CanonicalDfg canon = canonicalize(g);
+    auto reparsed = fromText(canon.text);
+    ASSERT_TRUE(reparsed.has_value()) << canon.text;
+    EXPECT_EQ(toText(*reparsed), canon.text);
+    const CanonicalDfg again = canonicalize(*reparsed);
+    EXPECT_EQ(again.text, canon.text);
+    EXPECT_EQ(again.hash, canon.hash);
+    for (size_t v = 0; v < reparsed->numNodes(); ++v)
+        EXPECT_EQ(again.toCanonical[v], static_cast<NodeId>(v));
+}
+
+TEST(Canonical, SymmetricFansFallBackToAFixpoint)
+{
+    // Highly symmetric DFGs whose individualization tree is far too big
+    // to search: the work budget stops them (each took 0.5-2 s when the
+    // search was bounded by fixpoint count) and the fallback tie-break
+    // must still give a form that is its own canonical form.
+    Dfg stores("stores");
+    const NodeId load = stores.addNode(OpCode::Load);
+    for (int i = 0; i < 511; ++i)
+        stores.addEdge(load, stores.addNode(OpCode::Store));
+    expectFixpoint(stores);
+
+    Dfg chains("chains");
+    const NodeId src = chains.addNode(OpCode::Load);
+    for (int i = 0; i < 128; ++i) {
+        const NodeId add = chains.addNode(OpCode::Add);
+        chains.addEdge(src, add);
+        chains.addEdge(add, chains.addNode(OpCode::Store));
+    }
+    expectFixpoint(chains);
+
+    // Renumbering does not change whether the budget runs out, so a
+    // renumbered fan falls back too and its form is again a fixpoint.
+    std::vector<NodeId> perm(chains.numNodes());
+    std::iota(perm.begin(), perm.end(), 0);
+    Rng rng(3);
+    rng.shuffle(perm);
+    std::vector<EdgeId> edge_order(chains.numEdges());
+    std::iota(edge_order.begin(), edge_order.end(), 0);
+    rng.shuffle(edge_order);
+    expectFixpoint(permuted(chains, perm, edge_order));
 }
 
 } // namespace

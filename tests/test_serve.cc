@@ -435,6 +435,48 @@ TEST(MappingService, MissThenVerifiedHitAndPermutationVariant)
     EXPECT_EQ(stats.verifyFailures, 0);
 }
 
+TEST(MappingService, AccelSpellingsOfOneFabricShareItsEntry)
+{
+    ServeConfig cfg;
+    cfg.cacheFile.clear();
+    MappingService service(cfg);
+    std::vector<const arch::ArchContext *> contexts;
+    service.setSearchFn([&](const dfg::Dfg &dfg, arch::ArchContext &context,
+                            const map::SearchOptions &options) {
+        contexts.push_back(&context);
+        map::PortfolioSearch race(context);
+        race.addMember("SA", std::make_unique<map::SaMapper>(), options);
+        return race.run(dfg);
+    });
+
+    // kAccel is canonical (accelSpecOf's own line); the other spellings
+    // parse to the same fabric. Each request carries a new kernel, so
+    // each one misses and searches on the context its spec resolved to.
+    const char *kernels[] = {
+        kKernel,
+        "dfg a\nnode 0 load\nnode 1 add\nnode 2 store\n"
+        "edge 0 1\nedge 1 2\n",
+        "dfg b\nnode 0 load\nnode 1 mul\nnode 2 store\n"
+        "edge 0 1\nedge 1 2\n",
+        "dfg c\nnode 0 load\nnode 1 sub\nnode 2 store\n"
+        "edge 0 1\nedge 1 2\n",
+    };
+    const char *spellings[] = {kAccel, "  accel\tcgra 4 4 01 left +4",
+                               "accel cgra 4 4 1 left 4 trailing",
+                               kAccel};
+    for (size_t i = 0; i < std::size(kernels); ++i) {
+        MapRequest req = kernelRequest(kernels[i]);
+        req.accelSpec = spellings[i];
+        const MapOutcome out = service.map(req);
+        ASSERT_TRUE(out.ok) << spellings[i] << ": " << out.error;
+        EXPECT_FALSE(out.cacheHit);
+    }
+    ASSERT_EQ(contexts.size(), std::size(kernels));
+    for (const arch::ArchContext *context : contexts)
+        EXPECT_EQ(context, contexts[0]);
+    EXPECT_EQ(verify::accelSpecOf(contexts[0]->accel()), kAccel);
+}
+
 TEST(MappingService, RejectsMalformedRequests)
 {
     ServeConfig cfg;

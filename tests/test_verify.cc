@@ -9,6 +9,7 @@
 
 #include "arch/arch_context.hh"
 #include "arch/cgra.hh"
+#include "arch/systolic.hh"
 #include "core/labels.hh"
 #include "core/lisa_mapper.hh"
 #include "dfg/builder.hh"
@@ -471,6 +472,31 @@ TEST(VerifyIo, AccelSpecAcceptsTheSizeBounds)
     EXPECT_NE(accelFromSpec("accel cgra 1 1 0 left 1"), nullptr);
     EXPECT_NE(accelFromSpec("accel systolic 32 32"), nullptr);
     EXPECT_NE(accelFromSpec("accel systolic 1 3"), nullptr);
+}
+
+TEST(VerifyIo, AccelSpecOfInTreeFabricsParsesBackToItself)
+{
+    // lisa-serve keys its fabric registry by accelSpecOf() and looks a
+    // request's spec line up before parsing it. That is only sound when a
+    // canonical line parses back to the same line and the same fabric.
+    std::vector<std::unique_ptr<arch::Accelerator>> fabrics;
+    for (const arch::CgraConfig &cfg :
+         {arch::baselineCgra(4, 4), arch::baselineCgra(3, 3),
+          arch::lessRoutingCgra(), arch::lessMemoryCgra(),
+          arch::baselineCgra(8, 8)})
+        fabrics.push_back(std::make_unique<arch::CgraArch>(cfg));
+    fabrics.push_back(std::make_unique<arch::SystolicArch>(5, 5));
+    fabrics.push_back(std::make_unique<arch::SystolicArch>(4, 6));
+    for (const auto &accel : fabrics) {
+        const std::string spec = accelSpecOf(*accel);
+        ASSERT_FALSE(spec.empty()) << accel->name();
+        const auto parsed = accelFromSpec(spec);
+        ASSERT_NE(parsed, nullptr) << spec;
+        EXPECT_EQ(accelSpecOf(*parsed), spec);
+        EXPECT_EQ(arch::ArchContext(*parsed).fingerprint(),
+                  arch::ArchContext(*accel).fingerprint())
+            << spec;
+    }
 }
 
 TEST(VerifyIo, AccelSpecRejectsFabricsBeyondTheBounds)
