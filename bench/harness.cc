@@ -107,7 +107,7 @@ portfolioJson(const std::string &accel, const std::string &kernel,
 void
 initBench(int argc, char **argv)
 {
-    int threads = ThreadPool::globalThreads(); // LISA_THREADS or 1
+    int threads = 1;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--threads" && i + 1 < argc) {

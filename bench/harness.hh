@@ -10,8 +10,7 @@
  *                         sizes the process-wide worker pool used by
  *                         training-data generation. Seed-splitting keeps
  *                         a given (seed, threads) pair reproducible.
- *                         Without it the library's LISA_THREADS default
- *                         applies.
+ *                         Default 1.
  *  - --fast             : quarter budgets and a smaller training set
  *                         (smoke-testing the harness)
  *  - --sa-runs N        : SA runs per combination (median reported;
@@ -64,7 +63,7 @@ CompareOptions scaled(CompareOptions options);
  */
 void initBench(int argc, char **argv);
 
-/** Parallelism configured by initBench (or LISA_THREADS; default 1). */
+/** Parallelism configured by initBench (default 1). */
 int benchThreads();
 
 /** True when --portfolio was passed to initBench. */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "mapping/router.hh"
 #include "support/fnv.hh"
 
 namespace lisa::arch {
@@ -62,9 +63,8 @@ computeFingerprint(const Accelerator &accel)
 // ---------------------------------------------------------------------------
 // OracleStore
 
-OracleStore::OracleStore(std::shared_ptr<const Mrrg> mrrg, double fu_cost,
-                         double reg_cost)
-    : graph(std::move(mrrg)), fu(fu_cost), reg(reg_cost),
+OracleStore::OracleStore(std::shared_ptr<const Mrrg> mrrg)
+    : graph(std::move(mrrg)),
       hopPub(static_cast<size_t>(graph->ii()) *
              static_cast<size_t>(graph->accel().numPes())),
       costPub(static_cast<size_t>(graph->accel().numPes()))
@@ -73,7 +73,8 @@ OracleStore::OracleStore(std::shared_ptr<const Mrrg> mrrg, double fu_cost,
     base.assign(n, 0.0);
     const auto kinds = graph->resourceKinds();
     for (size_t id = 0; id < n; ++id)
-        base[id] = (kinds[id] == ResourceKind::Fu) ? fu : reg;
+        base[id] = (kinds[id] == ResourceKind::Fu) ? map::kFuRouteCost
+                                                   : map::kRegRouteCost;
 }
 
 const std::vector<int32_t> &
@@ -218,11 +219,9 @@ OracleStore::capacityBytes() const
 }
 
 std::shared_ptr<OracleStore>
-makePrivateOracleStore(std::shared_ptr<const Mrrg> mrrg, double fu_cost,
-                       double reg_cost)
+makePrivateOracleStore(std::shared_ptr<const Mrrg> mrrg)
 {
-    return std::make_shared<OracleStore>(std::move(mrrg), fu_cost,
-                                         reg_cost);
+    return std::make_shared<OracleStore>(std::move(mrrg));
 }
 
 // ---------------------------------------------------------------------------
@@ -256,18 +255,17 @@ ArchContext::mrrgFor(int ii, bool *hit)
 
 std::shared_ptr<OracleStore>
 ArchContext::oracleStoreFor(const std::shared_ptr<const Mrrg> &mrrg,
-                            double fu_cost, double reg_cost, bool *hit)
+                            bool *hit)
 {
     support::LockGuard lock(mu);
-    const StoreKey key{mrrg->uid(), fu_cost, reg_cost};
-    auto it = stores.find(key);
+    auto it = stores.find(mrrg->uid());
     if (it != stores.end()) {
         if (hit)
             *hit = true;
         return it->second;
     }
-    auto store = std::make_shared<OracleStore>(mrrg, fu_cost, reg_cost);
-    stores.emplace(key, store);
+    auto store = std::make_shared<OracleStore>(mrrg);
+    stores.emplace(mrrg->uid(), store);
     if (hit)
         *hit = false;
     return store;

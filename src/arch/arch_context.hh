@@ -4,19 +4,19 @@
  *
  * Everything the mapping stack derives from an Accelerator alone is
  * request-invariant: the CSR MRRG per II, the static-distance oracle
- * tables per (MRRG, cost-knob) binding, the per-resource base-cost
- * arrays, and the memoized opCapablePes tables. Before this cache every
- * II attempt re-derived them (each RouterWorkspace built private oracle
- * tables, searchMinIi built a fresh Mrrg per II), so a bench suite paid
- * thousands of oracleBuilds for artifacts that depend only on (arch, II).
+ * tables per MRRG, the per-resource base-cost arrays, and the memoized
+ * opCapablePes tables. Before this cache every II attempt re-derived them
+ * (each RouterWorkspace built private oracle tables, searchMinIi built a
+ * fresh Mrrg per II), so a bench suite paid thousands of oracleBuilds for
+ * artifacts that depend only on (arch, II).
  *
  * One ArchContext per accelerator owns them all:
  *
  *  - mrrgFor(ii): shared_ptr<const Mrrg>, built once per II and reused by
  *    every later sweep over the same accelerator;
- *  - oracleStoreFor(mrrg, fuCost, regCost): a thread-safe OracleStore of
- *    min-hop / min-cost tables shared by every concurrent attempt stream
- *    (workspaces keep span views into it, see mapping/distance_oracle.hh);
+ *  - oracleStoreFor(mrrg): a thread-safe OracleStore of min-hop /
+ *    min-cost tables shared by every concurrent attempt stream (workspaces
+ *    keep span views into it, see mapping/distance_oracle.hh);
  *  - opCapablePes: warmed eagerly at construction so no first-use race or
  *    latency remains.
  *
@@ -66,8 +66,9 @@ namespace lisa::arch {
 class ArchContext;
 
 /**
- * Thread-safe static-distance tables for one (MRRG, fuCost, regCost)
- * binding, shared by every router workspace mapping on that graph.
+ * Thread-safe static-distance tables for one MRRG, priced at the router's
+ * constant route costs (mapping/router.hh) and shared by every router
+ * workspace mapping on that graph.
  *
  * Lookups are lock-free pointer loads; a nullptr result sends the caller
  * to the ensure* slow path, which builds (or rotates) the table under the
@@ -77,14 +78,11 @@ class ArchContext;
 class OracleStore
 {
   public:
-    OracleStore(std::shared_ptr<const Mrrg> mrrg, double fu_cost,
-                double reg_cost);
+    explicit OracleStore(std::shared_ptr<const Mrrg> mrrg);
 
     const Mrrg &mrrg() const { return *graph; }
     uint64_t mrrgUid() const { return graph->uid(); }
     int ii() const { return graph->ii(); }
-    double fuCost() const { return fu; }
-    double regCost() const { return reg; }
 
     /** Per-resource static entry cost, immutable after construction. */
     std::span<const double> baseCosts() const
@@ -146,8 +144,6 @@ class OracleStore
     void buildCosts(std::vector<double> &tab, int pe) LISA_REQUIRES(mu);
 
     std::shared_ptr<const Mrrg> graph;
-    double fu;
-    double reg;
 
     std::vector<double> base; ///< per-resource static entry cost
 
@@ -173,8 +169,7 @@ class OracleStore
  * Lives here so the hot-listed mapping files never spell an allocation.
  */
 std::shared_ptr<OracleStore>
-makePrivateOracleStore(std::shared_ptr<const Mrrg> mrrg, double fu_cost,
-                       double reg_cost);
+makePrivateOracleStore(std::shared_ptr<const Mrrg> mrrg);
 
 /** Owner of every arch-derived artifact for one accelerator. */
 class ArchContext
@@ -203,14 +198,12 @@ class ArchContext
         LISA_EXCLUDES(mu);
 
     /**
-     * The shared OracleStore for (@p mrrg, @p fu_cost, @p reg_cost),
-     * created on first request and cached by MRRG uid. The store retains
-     * @p mrrg.
+     * The shared OracleStore for @p mrrg, created on first request and
+     * cached by MRRG uid. The store retains @p mrrg.
      */
     std::shared_ptr<OracleStore>
-    oracleStoreFor(const std::shared_ptr<const Mrrg> &mrrg, double fu_cost,
-                   double reg_cost, bool *hit = nullptr)
-        LISA_EXCLUDES(mu);
+    oracleStoreFor(const std::shared_ptr<const Mrrg> &mrrg,
+                   bool *hit = nullptr) LISA_EXCLUDES(mu);
 
     /** Memoized per-op capable-PE table (warmed at construction). */
     const std::vector<int> &
@@ -234,28 +227,13 @@ class ArchContext
     /** @} */
 
   private:
-    struct StoreKey
-    {
-        uint64_t uid = 0;
-        double fu = 0.0;
-        double reg = 0.0;
-        bool
-        operator<(const StoreKey &o) const
-        {
-            if (uid != o.uid)
-                return uid < o.uid;
-            if (fu != o.fu)
-                return fu < o.fu;
-            return reg < o.reg;
-        }
-    };
-
     const Accelerator *arch;
     uint64_t fp;
 
     mutable support::Mutex mu;
     std::map<int, std::shared_ptr<const Mrrg>> mrrgs LISA_GUARDED_BY(mu);
-    std::map<StoreKey, std::shared_ptr<OracleStore>> stores
+    /** Oracle stores keyed by MRRG uid. */
+    std::map<uint64_t, std::shared_ptr<OracleStore>> stores
         LISA_GUARDED_BY(mu);
     /** Routability admission model slot; see above. */
     std::shared_ptr<const map::RoutabilityModel> routability

@@ -13,6 +13,13 @@
 
 namespace lisa::core {
 
+namespace {
+
+/** Held-out fraction for the Table II accuracy numbers. */
+constexpr double kTestFraction = 0.15;
+
+} // namespace
+
 LisaFramework::LisaFramework(const arch::Accelerator &accel,
                              FrameworkConfig config)
     : arch(&accel), cfg(std::move(config)), rng(cfg.seed)
@@ -121,7 +128,7 @@ LisaFramework::prepare()
     // Held-out split for the Table II accuracy numbers.
     rng.shuffle(samples);
     size_t test_count = static_cast<size_t>(
-        static_cast<double>(samples.size()) * cfg.testFraction);
+        static_cast<double>(samples.size()) * kTestFraction);
     test_count = std::min(test_count, samples.size() - 1);
     std::vector<gnn::LabeledSample> test(
         samples.end() - static_cast<long>(test_count), samples.end());
@@ -176,7 +183,7 @@ LisaFramework::compile(const dfg::Dfg &dfg,
     if (!ready)
         panic("compile: call prepare() first");
     dfg::Analysis analysis(dfg);
-    LisaMapper mapper(predictLabels(dfg, analysis), cfg.mapper);
+    LisaMapper mapper(predictLabels(dfg, analysis));
     return map::searchMinIi(mapper, dfg, *ctx, options);
 }
 
@@ -191,8 +198,7 @@ LisaFramework::compilePortfolio(const dfg::Dfg &dfg,
     // Registration order is the II tie-break: LISA first, so the
     // guided mapper's success cancels same-II baseline attempts.
     race.addMember("LISA",
-                   std::make_unique<LisaMapper>(
-                       predictLabels(dfg, analysis), cfg.mapper),
+                   std::make_unique<LisaMapper>(predictLabels(dfg, analysis)),
                    config.lisa);
     race.addMember("SA", std::make_unique<map::SaMapper>(), config.sa);
     race.addMember("ILP*", std::make_unique<map::ExactMapper>(),

@@ -33,12 +33,9 @@ struct FrameworkConfig
 {
     TrainingDataConfig trainingData;
     gnn::TrainConfig training;
-    /** Held-out fraction for the Table II accuracy numbers. */
-    double testFraction = 0.15;
     /** Directory for cached models ("" disables caching). */
     std::string cacheDir = "lisa_models";
     uint64_t seed = 7;
-    LisaConfig mapper;
     /** Shared arch-artifact cache (MRRGs, distance-oracle tables). When
      *  null the framework owns a private one; pass a context to share
      *  artifacts with other consumers of the same accelerator. Must

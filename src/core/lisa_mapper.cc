@@ -12,6 +12,26 @@
 
 namespace lisa::core {
 
+namespace {
+
+/** Sigma schedule factor: sigma = max{1, kAlpha*T - Acc}. */
+constexpr double kAlpha = 0.05;
+/** Random nodes unmapped per iteration on top of conflict nodes. */
+constexpr int kExtraUnmaps = 2;
+/** Cap on conflict-driven unmaps per iteration. */
+constexpr int kMaxConflictUnmaps = 6;
+/** Placement-cost weight of label 3 (spatial distance). */
+constexpr double kSpatialWeight = 1.0;
+/** Penalty per value already occupying a candidate FU. */
+constexpr double kOccupiedPenalty = 25.0;
+/** @{ Metropolis acceptance schedule of the unmap/remap movements. */
+constexpr double kInitialTemp = 25.0;
+constexpr double kMinTemp = 0.4;
+constexpr double kCoolRate = 0.985;
+/** @} */
+
+} // namespace
+
 LisaMapper::LisaMapper(Labels labels, LisaConfig config)
     : lbls(std::move(labels)), cfg(config)
 {
@@ -57,12 +77,12 @@ LisaMapper::selectUnmapSet(const map::Mapping &mapping, Rng &rng) const
     }
     rng.shuffle(conflicts);
     for (dfg::NodeId v : conflicts) {
-        if (static_cast<int>(chosen.size()) >= cfg.maxConflictUnmaps)
+        if (static_cast<int>(chosen.size()) >= kMaxConflictUnmaps)
             break;
         take(v);
     }
 
-    for (int i = 0; i < cfg.extraUnmaps; ++i)
+    for (int i = 0; i < kExtraUnmaps; ++i)
         take(static_cast<dfg::NodeId>(rng.index(dfg.numNodes())));
     if (order.empty())
         take(static_cast<dfg::NodeId>(rng.index(dfg.numNodes())));
@@ -134,7 +154,7 @@ LisaMapper::placeNodeByLabels(const map::MapContext &ctx,
                     if (edge.src == v || !mapping.isPlaced(edge.src))
                         continue;
                     const auto &pu = mapping.placement(edge.src);
-                    cost += cfg.spatialWeight *
+                    cost += kSpatialWeight *
                             std::abs(accel.spatialDistance(pu.pe, pe) -
                                      lbls.spatialDist[e]);
                     if (temporal) {
@@ -148,7 +168,7 @@ LisaMapper::placeNodeByLabels(const map::MapContext &ctx,
                     if (edge.dst == v || !mapping.isPlaced(edge.dst))
                         continue;
                     const auto &pw = mapping.placement(edge.dst);
-                    cost += cfg.spatialWeight *
+                    cost += kSpatialWeight *
                             std::abs(accel.spatialDistance(pe, pw.pe) -
                                      lbls.spatialDist[e]);
                     if (temporal) {
@@ -167,7 +187,7 @@ LisaMapper::placeNodeByLabels(const map::MapContext &ctx,
                             std::abs(d - lbls.association[idx]);
                 }
                 // Penalise already-occupied FUs.
-                cost += cfg.occupiedPenalty *
+                cost += kOccupiedPenalty *
                         mapping.numInstancesOn(
                             mapping.mrrg().fuId(PeId{pe}, AbsTime{t}));
             }
@@ -208,7 +228,7 @@ LisaMapper::routeByPriority(map::Mapping &mapping,
                      [&](dfg::EdgeId a, dfg::EdgeId b) {
                          return lbls.temporalDist[a] > lbls.temporalDist[b];
                      });
-    map::routeAll(mapping, cfg.routerCosts, ws, order);
+    map::routeAll(mapping, map::RouterCosts{}, ws, order);
 }
 
 std::optional<map::Mapping>
@@ -222,7 +242,7 @@ LisaMapper::attemptStream(const map::MapContext &ctx)
 
     long attempts = 0;
     long accepted = 0;
-    double temp = cfg.initialTemp;
+    double temp = kInitialTemp;
 
     // Merge this stream's counters into the context sink on every exit
     // path (the movement loop has several).
@@ -291,7 +311,7 @@ LisaMapper::attemptStream(const map::MapContext &ctx)
             since_improvement = 0;
             attempts = 0;
             accepted = 0;
-            temp = cfg.initialTemp;
+            temp = kInitialTemp;
         }
 
         // Unmap one node (Algorithm 1, line 2): strongly biased toward
@@ -314,7 +334,7 @@ LisaMapper::attemptStream(const map::MapContext &ctx)
         mapping.unplaceNode(v);
 
         const double sigma =
-            std::max(1.0, cfg.alpha * static_cast<double>(attempts) -
+            std::max(1.0, kAlpha * static_cast<double>(attempts) -
                               static_cast<double>(accepted));
         const bool use_labels = !cfg.labelsOnlyForInit;
         placeNodeByLabels(ctx, mapping, v, sigma, use_labels);
@@ -328,8 +348,7 @@ LisaMapper::attemptStream(const map::MapContext &ctx)
         // A move that ends valid commits at once; any other move takes
         // the Metropolis test. routeMove rejects early only a move that
         // can no longer end valid.
-        const map::MoveTest test{cfg.routerCosts, cfg.costParams, temp,
-                                 true};
+        const map::MoveTest test{temp, true};
         const map::MoveVerdict verdict =
             map::routeMove(mapping, affected, test, ws, ctx.rng, stats);
         if (verdict.accept && mapping.valid()) {
@@ -361,9 +380,9 @@ LisaMapper::attemptStream(const map::MapContext &ctx)
             ++stats.movesRolledBack;
         }
 
-        temp *= cfg.coolRate;
-        if (temp < cfg.minTemp)
-            temp = cfg.minTemp;
+        temp *= kCoolRate;
+        if (temp < kMinTemp)
+            temp = kMinTemp;
     }
     stats.moveSeconds += move_timer.seconds();
     return finish(std::nullopt);

@@ -21,37 +21,22 @@
 #define LISA_CORE_LISA_MAPPER_HH
 
 #include "core/labels.hh"
-#include "mapping/cost.hh"
-#include "mapping/router.hh"
 #include "mapping/router_workspace.hh"
 #include "mappers/mapper.hh"
 
 namespace lisa::core {
 
-/** Tunables of the label-aware mapper. */
+/** What the label ablations vary; the schedule and the other placement
+ *  weights are constants in lisa_mapper.cc. */
 struct LisaConfig
 {
-    /** Sigma schedule factor: sigma = max{1, alpha*T - Acc}. */
-    double alpha = 0.05;
-    /** Random nodes unmapped per iteration on top of conflict nodes. */
-    int extraUnmaps = 2;
-    /** Cap on conflict-driven unmaps per iteration. */
-    int maxConflictUnmaps = 6;
-    /** Placement-cost weights for labels 2 / 3 / 4. */
+    /** Placement-cost weights for labels 2 (association) and 4
+     *  (temporal distance); label 3's spatial weight is fixed at 1. */
     double associationWeight = 0.6;
-    double spatialWeight = 1.0;
     double temporalWeight = 1.0;
-    /** Penalty per value already occupying a candidate FU. */
-    double occupiedPenalty = 25.0;
     /** Partial mode for training-data generation: labels guide only the
      *  initial mapping; later movements are random. */
     bool labelsOnlyForInit = false;
-    /** Metropolis acceptance schedule for the unmap/remap movements. */
-    double initialTemp = 25.0;
-    double minTemp = 0.4;
-    double coolRate = 0.985;
-    map::RouterCosts routerCosts;
-    map::CostParams costParams;
 };
 
 /** The LISA mapper: Algorithm 1 over externally supplied labels. */

@@ -14,6 +14,15 @@ namespace lisa::core {
 
 namespace {
 
+/** Candidate labels come from mappings whose routing cost is within this
+ *  factor of the cheapest best-II mapping (1.15 in the paper). */
+constexpr double kRoutingSlack = 1.15;
+/** @{ Filter: keep when mii/bestIi + kFilterSigma * candidates >=
+ *  kFilterThreshold (the paper's values). */
+constexpr double kFilterSigma = 0.1;
+constexpr double kFilterThreshold = 0.8;
+/** @} */
+
 /** One refinement candidate: labels plus the quality of their mapping. */
 struct Candidate
 {
@@ -101,7 +110,7 @@ refineLabels(const dfg::Dfg &dfg, arch::ArchContext &context,
             min_routing = std::min(min_routing, c.routing);
     for (const Candidate &c : candidates) {
         if (c.ii == best_ii &&
-            c.routing <= config.routingSlack * min_routing) {
+            c.routing <= kRoutingSlack * min_routing) {
             selected.push_back(c.labels);
         }
     }
@@ -115,7 +124,7 @@ refineLabels(const dfg::Dfg &dfg, arch::ArchContext &context,
 }
 
 bool
-passesFilter(const RefinedLabels &refined, const TrainingDataConfig &config)
+passesFilter(const RefinedLabels &refined)
 {
     // "As long as we get the minimum II for a DFG, only one candidate
     // label is sufficient."
@@ -123,8 +132,8 @@ passesFilter(const RefinedLabels &refined, const TrainingDataConfig &config)
         return true;
     const double closeness =
         static_cast<double>(refined.mii) / refined.bestIi;
-    const double e = closeness + config.filterSigma * refined.candidates;
-    return e >= config.filterThreshold;
+    const double e = closeness + kFilterSigma * refined.candidates;
+    return e >= kFilterThreshold;
 }
 
 std::vector<gnn::LabeledSample>
@@ -169,7 +178,7 @@ generateTrainingSet(arch::ArchContext &context,
         const dfg::Dfg &graph = graphs[i];
         Rng sub(seeds[i]);
         auto refined = refineLabels(graph, context, config, sub);
-        if (!refined || !passesFilter(*refined, config))
+        if (!refined || !passesFilter(*refined))
             return;
         dfg::Analysis analysis(graph);
         gnn::LabeledSample sample;

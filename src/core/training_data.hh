@@ -40,11 +40,6 @@ struct TrainingDataConfig
     /** Mapping budget per II attempt / per compilation, seconds. */
     double perIiBudget = 0.25;
     double totalBudget = 1.5;
-    /** Routing-cost slack for candidate selection (1.15 in the paper). */
-    double routingSlack = 1.15;
-    /** Filter: keep when mii/bestIi + filterSigma * candidates >= this. */
-    double filterSigma = 0.1;
-    double filterThreshold = 0.8;
     /** Parallelism of the pipeline: refinement rounds run in waves of
      *  this many concurrent attempts, and DFGs are refined concurrently
      *  across the global thread pool. 1 = fully serial. */
@@ -72,10 +67,9 @@ std::optional<RefinedLabels> refineLabels(const dfg::Dfg &dfg,
                                           const TrainingDataConfig &config,
                                           Rng &rng);
 
-/** Filter metric e = O + sigma*N; kept when e >= threshold or bestIi ==
- *  mii. */
-bool passesFilter(const RefinedLabels &refined,
-                  const TrainingDataConfig &config);
+/** Filter metric e = O + sigma*N with the paper's sigma = 0.1; kept when
+ *  e >= 0.8 or bestIi == mii. */
+bool passesFilter(const RefinedLabels &refined);
 
 /**
  * Full pipeline: generate DFGs, refine labels, filter, and package

@@ -8,14 +8,53 @@
 
 namespace lisa::dfg {
 
+namespace {
+
+/** Bytes a name cannot hold verbatim: the escape byte, the comment
+ *  byte, and every byte at or below ' ' (separators, line ends and
+ *  other control bytes) or at 0x7f. */
+bool
+needsEscape(char c)
+{
+    const auto u = static_cast<unsigned char>(c);
+    return c == '%' || c == '#' || u <= 0x20 || u == 0x7f;
+}
+
+/** Write @p name with every byte needsEscape() marks as %XX. Runs of
+ *  plain bytes go out in one write: this is on the serve hit path. */
+void
+writeName(std::ostream &os, std::string_view name)
+{
+    static constexpr char kHex[] = "0123456789ABCDEF";
+    size_t plain = 0;
+    for (size_t i = 0; i < name.size(); ++i) {
+        if (!needsEscape(name[i]))
+            continue;
+        const auto u = static_cast<unsigned char>(name[i]);
+        const char escape[3] = {'%', kHex[u >> 4], kHex[u & 15]};
+        os.write(name.data() + plain, static_cast<std::streamsize>(i - plain));
+        os.write(escape, 3);
+        plain = i + 1;
+    }
+    os.write(name.data() + plain,
+             static_cast<std::streamsize>(name.size() - plain));
+}
+
+} // namespace
+
 void
 writeText(const Dfg &dfg, std::ostream &os)
 {
-    os << "dfg " << (dfg.name().empty() ? "unnamed" : dfg.name()) << '\n';
+    os << "dfg ";
+    writeName(os, dfg.name().empty() ? std::string_view("unnamed")
+                                     : std::string_view(dfg.name()));
+    os << '\n';
     for (const Node &n : dfg.nodes()) {
         os << "node " << n.id << ' ' << opName(n.op);
-        if (!n.name.empty())
-            os << ' ' << n.name;
+        if (!n.name.empty()) {
+            os << ' ';
+            writeName(os, n.name);
+        }
         os << '\n';
     }
     for (const Edge &e : dfg.edges()) {
@@ -73,6 +112,39 @@ parseInt(std::string_view token, Int &out)
     return ec == std::errc() && ptr == end;
 }
 
+int
+hexValue(char c)
+{
+    if (c >= '0' && c <= '9')
+        return c - '0';
+    if (c >= 'A' && c <= 'F')
+        return c - 'A' + 10;
+    if (c >= 'a' && c <= 'f')
+        return c - 'a' + 10;
+    return -1;
+}
+
+/** Decode a name token written by writeName. False on a '%' that two
+ *  hex digits do not follow. */
+bool
+readName(std::string_view token, std::string &out)
+{
+    out.assign(token.substr(0, token.find('%')));
+    for (size_t i = out.size(); i < token.size(); ++i) {
+        if (token[i] != '%') {
+            out += token[i];
+            continue;
+        }
+        const int hi = i + 2 < token.size() ? hexValue(token[i + 1]) : -1;
+        const int lo = hi >= 0 ? hexValue(token[i + 2]) : -1;
+        if (lo < 0)
+            return false;
+        out += static_cast<char>(hi * 16 + lo);
+        i += 2;
+    }
+    return true;
+}
+
 } // namespace
 
 std::optional<Dfg>
@@ -101,7 +173,10 @@ fromText(std::string_view text, std::string *error)
         if (kind.empty())
             continue; // blank line
         if (kind == "dfg") {
-            g.setName(std::string(nextToken(line)));
+            std::string name;
+            if (!readName(nextToken(line), name))
+                return failLine("malformed graph name");
+            g.setName(std::move(name));
             have_header = true;
         } else if (kind == "node") {
             int id = 0;
@@ -118,7 +193,10 @@ fromText(std::string_view text, std::string *error)
             const std::optional<OpCode> code = opFromName(op);
             if (!code)
                 return failLine("unknown op '" + std::string(op) + "'");
-            g.addNode(*code, std::string(nextToken(line)));
+            std::string name;
+            if (!readName(nextToken(line), name))
+                return failLine("malformed node name");
+            g.addNode(*code, std::move(name));
         } else if (kind == "edge") {
             int src = 0, dst = 0;
             long long dist = 0;

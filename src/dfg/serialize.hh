@@ -10,7 +10,11 @@
  * @endcode
  * Node ids must be dense and ascending from 0. Fields are separated by
  * space, '\t', '\r', '\v' or '\f', so CRLF text reads as LF text, and
- * tokens after the last field of a record are ignored. Every integer
+ * tokens after the last field of a record are ignored. A name (graph or
+ * node) is one token: the writer spells '%', '#' and every byte at or
+ * below ' ' or at 0x7f as %XX (two hex digits), and the reader decodes
+ * them, so any name round-trips ("B2.a#3" is written "B2.a%233"). A '%'
+ * without two hex digits after it is malformed. Every integer
  * field is a whole token: an optional sign and decimal digits, nothing
  * else ("3x" and "2.5" are malformed).
  */

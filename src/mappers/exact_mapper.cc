@@ -13,16 +13,18 @@
 
 namespace lisa::map {
 
-ExactMapper::ExactMapper(ExactConfig config) : cfg(config) {}
-
 namespace {
+
+/** Schedule times tried per node: [window.lo, window.lo + II + slack]. */
+constexpr int kExtraSlack = 2;
+/** Every route is strict: no overuse is ever accepted. */
+constexpr RouterCosts kStrictRouting{.allowOveruse = false};
 
 /** Depth-first enumeration state. */
 struct Dfs
 {
     const MapContext &ctx;
     Mapping &mapping;
-    const ExactConfig &cfg;
     const std::vector<dfg::NodeId> &order;
     Stopwatch timer{};
     bool timedOut = false;
@@ -68,7 +70,7 @@ Dfs::routeIncidentStrict(dfg::NodeId v, std::vector<dfg::EdgeId> &routed_here)
             continue;
         if (mapping.isRouted(e))
             continue;
-        const RouteResult *res = routeEdge(mapping, e, cfg.routerCosts, ws);
+        const RouteResult *res = routeEdge(mapping, e, kStrictRouting, ws);
         if (!res) {
             for (dfg::EdgeId r : routed_here)
                 mapping.clearRoute(r);
@@ -102,7 +104,7 @@ Dfs::place(size_t depth)
     if (!w.valid())
         return false;
     const int hi = accel.temporalMapping()
-                       ? std::min(w.hi, w.lo + ii + cfg.extraSlack)
+                       ? std::min(w.hi, w.lo + ii + kExtraSlack)
                        : 0;
 
     for (int time = w.lo; time <= hi; ++time) {
@@ -137,7 +139,6 @@ ExactMapper::tryMap(const MapContext &ctx)
     Mapping mapping(ctx.dfg, ctx.mrrg);
     Dfs dfs{.ctx = ctx,
             .mapping = mapping,
-            .cfg = cfg,
             .order = ctx.analysis.topoOrder()};
     dfs.ws.archContext = ctx.archCtx;
     // The learned tier is this search's alone: it is the only caller
@@ -152,7 +153,7 @@ ExactMapper::tryMap(const MapContext &ctx)
     // inconclusive with or without the model; warn once so a
     // false-rejecting user-trained model is not silently absorbed.
     std::shared_ptr<const RoutabilityModel> model;
-    if (cfg.learnedPruning && ctx.archCtx != nullptr)
+    if (ctx.archCtx != nullptr)
         model = ctx.archCtx->routabilityModel();
     dfs.ws.learned.model = model.get();
     if (ctx.archCtx != nullptr && routabilityCollecting())
@@ -172,8 +173,8 @@ ExactMapper::tryMap(const MapContext &ctx)
             if (!warned.exchange(true))
                 warn("ILP*: a time-limited exact search failed after "
                      "learned routability vetoes; if achieved IIs look "
-                     "worse than expected, rerun with "
-                     "ExactConfig::learnedPruning = false");
+                     "worse than expected, rerun without the "
+                     "routability model");
         }
     }
     ctx.countAttempts(dfs.placements);

@@ -15,41 +15,27 @@
 #ifndef LISA_MAPPERS_EXACT_MAPPER_HH
 #define LISA_MAPPERS_EXACT_MAPPER_HH
 
-#include "mapping/router.hh"
 #include "mappers/mapper.hh"
 
 namespace lisa::map {
 
-/** Search-space knobs of the exact mapper. */
-struct ExactConfig
-{
-    /** Schedule times tried per node: [window.lo, window.lo + II + slack]. */
-    int extraSlack = 2;
-    RouterCosts routerCosts{1.0, 0.7, 0.0, /*allowOveruse=*/false};
-    /**
-     * Let the learned routability tier (routability_filter.hh) veto
-     * candidates during the enumeration, when the ArchContext holds a
-     * model. The search stays fail-closed: an enumeration that completes
-     * without a mapping while learned vetoes fired is rerun without the
-     * model within the remaining time budget, so a false reject can never
-     * flip a feasible instance to "unmappable" — only a timeout can (as
-     * without the model). Set false to take the router's tier-0
-     * structural rejects only, which are provably router-identical.
-     */
-    bool learnedPruning = true;
-};
-
-/** Exhaustive depth-first placement-and-routing with backtracking. */
+/**
+ * Exhaustive depth-first placement-and-routing with backtracking. Each
+ * node tries the schedule times [window.lo, window.lo + II + 2]. When the
+ * ArchContext holds a routability model, its learned tier
+ * (routability_filter.hh) vetoes candidates during the enumeration. The
+ * search stays fail-closed: an enumeration that completes without a
+ * mapping while learned vetoes fired is rerun without the model within
+ * the remaining time budget, so a false reject can never flip a feasible
+ * instance to "unmappable" — only a timeout can (as without the model).
+ * A context without a model takes the router's tier-0 structural rejects
+ * only, which are provably router-identical.
+ */
 class ExactMapper : public Mapper
 {
   public:
-    explicit ExactMapper(ExactConfig config = {});
-
     std::string name() const override { return "ILP*"; }
     std::optional<Mapping> tryMap(const MapContext &ctx) override;
-
-  private:
-    ExactConfig cfg;
 };
 
 } // namespace lisa::map

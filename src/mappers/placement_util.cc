@@ -76,7 +76,7 @@ routeMove(Mapping &mapping, std::vector<dfg::EdgeId> &order,
         const dfg::Edge &edge = dfg.edge(e);
         if (!mapping.isPlaced(edge.src) || !mapping.isPlaced(edge.dst))
             continue;
-        if (provablyUnroutable(mapping, e, test.routerCosts, ws)) {
+        if (provablyUnroutable(mapping, e, ws)) {
             ++stats.routeCallsSkipped;
             continue;
         }
@@ -118,8 +118,7 @@ routeMove(Mapping &mapping, std::vector<dfg::EdgeId> &order,
             }
         }
         const dfg::EdgeId e = order[next];
-        if (const RouteResult *res =
-                routeEdge(mapping, e, test.routerCosts, ws))
+        if (const RouteResult *res = routeEdge(mapping, e, RouterCosts{}, ws))
             mapping.setRoute(e, res->path);
     }
 

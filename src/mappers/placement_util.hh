@@ -56,17 +56,17 @@ void incidentEdges(const dfg::Dfg &dfg, dfg::NodeId v,
 void sortByRoutingPriority(const Mapping &mapping,
                            std::vector<dfg::EdgeId> &edges);
 
-/** The Metropolis test of one annealing move and its knobs. */
+/** The Metropolis test of one annealing move. Moves route in search
+ *  mode (RouterCosts{}), overuse priced in. */
 struct MoveTest
 {
-    const RouterCosts &routerCosts;
-    /** Route resource and overuse weights must be non-negative for the
-     *  early reject to apply (the defaults are). */
-    const CostParams &costParams;
     double temp = 1.0;
     /** LISA's rule: a move that ends valid() commits whatever its cost
      *  delta, so it may be rejected early only once it cannot end valid. */
     bool validCommits = false;
+    /** Route resource and overuse weights must be non-negative for the
+     *  early reject to apply (the defaults are). */
+    CostParams costParams{};
 };
 
 /** What routeMove decided about one move. */

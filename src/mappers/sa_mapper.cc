@@ -10,6 +10,21 @@
 
 namespace lisa::map {
 
+namespace {
+
+/** @{ The annealing schedule: kMovesPerTemp movements per temperature
+ *  (50 in the paper), geometric cooling from kInitialTemp by kCoolRate
+ *  down to kMinTemp, and a restart after kStallLimit consecutive
+ *  zero-acceptance temperatures. */
+constexpr int kMovesPerTemp = 50;
+constexpr double kInitialTemp = 60.0;
+constexpr double kMinTemp = 0.25;
+constexpr double kCoolRate = 0.92;
+constexpr int kStallLimit = 4;
+/** @} */
+
+} // namespace
+
 SaMapper::SaMapper(SaConfig config) : cfg(config) {}
 
 std::string
@@ -58,7 +73,7 @@ SaMapper::routeInOrder(Mapping &mapping, RouterWorkspace &ws)
         mapping.numPlaced() == mapping.dfg().numNodes()) {
         sortByRoutingPriority(mapping, order);
     }
-    routeAll(mapping, cfg.routerCosts, ws, order);
+    routeAll(mapping, RouterCosts{}, ws, order);
 }
 
 bool
@@ -79,9 +94,9 @@ SaMapper::annealOnce(const MapContext &ctx, Mapping &mapping, double budget,
     if (mapping.valid())
         return true;
 
-    double temp = cfg.initialTemp;
+    double temp = kInitialTemp;
     int stalled = 0;
-    const int moves = cfg.movesPerTemp * cfg.movementMultiplier;
+    const int moves = kMovesPerTemp * cfg.movementMultiplier;
     const size_t num_nodes = ctx.dfg.numNodes();
 
     // Rip-up set, refilled per move and sorted into routing order.
@@ -89,7 +104,7 @@ SaMapper::annealOnce(const MapContext &ctx, Mapping &mapping, double budget,
 
     Stopwatch move_timer;
     bool ok = [&]() -> bool {
-        while (temp > cfg.minTemp) {
+        while (temp > kMinTemp) {
             int accepted = 0;
             for (int m = 0; m < moves; ++m) {
                 if ((m & 15) == 0 &&
@@ -132,7 +147,7 @@ SaMapper::annealOnce(const MapContext &ctx, Mapping &mapping, double budget,
 
                 if (cfg.routingPriority && accel.temporalMapping())
                     sortByRoutingPriority(mapping, affected);
-                const MoveTest test{cfg.routerCosts, cfg.costParams, temp};
+                const MoveTest test{temp};
                 const bool accept =
                     routeMove(mapping, affected, test, ws, ctx.rng, stats)
                         .accept;
@@ -152,9 +167,9 @@ SaMapper::annealOnce(const MapContext &ctx, Mapping &mapping, double budget,
                 }
             }
             stalled = (accepted == 0) ? stalled + 1 : 0;
-            if (stalled >= cfg.stallLimit)
+            if (stalled >= kStallLimit)
                 break; // frozen: restart with a fresh random start
-            temp *= cfg.coolRate;
+            temp *= kCoolRate;
         }
         return mapping.valid();
     }();

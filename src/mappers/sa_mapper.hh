@@ -20,29 +20,19 @@
 #ifndef LISA_MAPPERS_SA_MAPPER_HH
 #define LISA_MAPPERS_SA_MAPPER_HH
 
-#include "mapping/cost.hh"
-#include "mapping/router.hh"
 #include "mapping/router_workspace.hh"
 #include "mappers/mapper.hh"
 
 namespace lisa::map {
 
-/** Tunables of the annealing schedule. */
+/** The two paper ablations; the annealing schedule itself is fixed
+ *  (constants in sa_mapper.cc). */
 struct SaConfig
 {
-    /** Movements attempted per temperature (50 in the paper). */
-    int movesPerTemp = 50;
     /** SA-M multiplies the movements per temperature by 10. */
     int movementMultiplier = 1;
-    double initialTemp = 60.0;
-    double minTemp = 0.25;
-    double coolRate = 0.92;
-    /** Consecutive zero-acceptance temperatures before giving up a run. */
-    int stallLimit = 4;
     /** Route un-routed edges longest-required-length first. */
     bool routingPriority = false;
-    RouterCosts routerCosts;
-    CostParams costParams;
 };
 
 /** CGRA-ME-style simulated annealing. */

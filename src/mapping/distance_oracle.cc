@@ -7,26 +7,21 @@ namespace lisa::map {
 
 void
 DistanceOracle::bind(const std::shared_ptr<const arch::Mrrg> &graph,
-                     const RouterCosts &costs, arch::ArchContext *context,
-                     RouterCounters &counters)
+                     arch::ArchContext *context, RouterCounters &counters)
 {
-    if (mrrgUid == graph->uid() && fuCost == costs.fuCost &&
-        regCost == costs.regCost && boundContext == context)
+    if (mrrgUid == graph->uid() && boundContext == context)
         return;
 
     mrrg = graph.get();
     mrrgUid = graph->uid();
-    fuCost = costs.fuCost;
-    regCost = costs.regCost;
     boundContext = context;
 
     bool shared_hit = false;
     if (context) {
-        store = context->oracleStoreFor(graph, fuCost, regCost,
-                                        &shared_hit);
+        store = context->oracleStoreFor(graph, &shared_hit);
         privateStore = false;
     } else {
-        store = arch::makePrivateOracleStore(graph, fuCost, regCost);
+        store = arch::makePrivateOracleStore(graph);
         privateStore = true;
     }
     if (shared_hit)

@@ -6,8 +6,8 @@
  * holders towards the consumer's feeder set. On the *uncongested* graph —
  * every resource priced at its static base cost, no occupancy — the
  * distance from any resource to a given feeder set is a fixed property of
- * the (MRRG, cost-knob) pair. The tables give the kernels two admissible
- * lower bounds:
+ * the MRRG (the route prices are constants, router.hh). The tables give
+ * the kernels two admissible lower bounds:
  *
  *  - minHopsTo(pe, time): minimum number of moves from each resource to
  *    the feeder set of FU(pe, time), from a reverse BFS over the MRRG's
@@ -31,14 +31,14 @@
  * the undirected search (tests/test_router_equiv.cc pins this by calling
  * the reference router, tests/router_reference.hh, in lock-step).
  *
- * Ownership: since the tables are pure functions of (MRRG, cost knobs),
- * they live in a thread-safe arch::OracleStore shared by every workspace
- * mapping on the same graph (arch/arch_context.hh). This class is the
- * per-workspace *front*: it holds span views into the store's published
- * tables so the steady-state lookup is a plain vector read with no
- * synchronization. bind() re-acquires the store when the MRRG uid, the
- * cost knobs, or the shared context change (epoch invalidation — the uid,
- * not the address, identifies the graph); without a context the front
+ * Ownership: since the tables are pure functions of the MRRG, they live
+ * in a thread-safe arch::OracleStore shared by every workspace mapping on
+ * the same graph (arch/arch_context.hh). This class is the per-workspace
+ * *front*: it holds span views into the store's published tables so the
+ * steady-state lookup is a plain vector read with no synchronization.
+ * bind() re-acquires the store when the MRRG uid or the shared context
+ * change (epoch invalidation — the uid, not the address, identifies the
+ * graph); without a context the front
  * falls back to a private store and behaves exactly like the historical
  * per-workspace oracle. The front is part of a RouterWorkspace and is not
  * thread-safe; table fetches count as allocation events so the
@@ -55,7 +55,6 @@
 #include <vector>
 
 #include "arch/mrrg.hh"
-#include "mapping/router.hh"
 
 namespace lisa::arch {
 class ArchContext;
@@ -66,27 +65,27 @@ namespace lisa::map {
 
 struct RouterCounters;
 
-/** Per-workspace view cache over one shared (MRRG, costs) table store. */
+/** Per-workspace view cache over one shared per-MRRG table store. */
 class DistanceOracle
 {
   public:
     static constexpr double kInf = std::numeric_limits<double>::infinity();
 
     /**
-     * Bind to @p mrrg priced by @p costs, resolving tables through
-     * @p context when non-null (workspaces then share one immutable
-     * store) or a private store otherwise. A no-op while the MRRG uid,
-     * the base-cost knobs and the context are unchanged; otherwise every
-     * cached view is invalidated and the store is re-acquired.
-     * Store-acquisition hits/misses count into @p counters.
+     * Bind to @p mrrg, resolving tables through @p context when non-null
+     * (workspaces then share one immutable store) or a private store
+     * otherwise. A no-op while the MRRG uid and the context are
+     * unchanged; otherwise every cached view is invalidated and the
+     * store is re-acquired. Store-acquisition hits/misses count into
+     * @p counters.
      */
     void bind(const std::shared_ptr<const arch::Mrrg> &mrrg,
-              const RouterCosts &costs, arch::ArchContext *context,
-              RouterCounters &counters);
+              arch::ArchContext *context, RouterCounters &counters);
 
     /**
-     * Per-resource static entry cost (fuCost / regCost by resource kind),
-     * hoisted out of the kernels' relaxation loops. Valid after bind().
+     * Per-resource static entry cost (kFuRouteCost / kRegRouteCost by
+     * resource kind), hoisted out of the kernels' relaxation loops.
+     * Valid after bind().
      */
     std::span<const double> baseCosts() const { return baseView; }
 
@@ -114,8 +113,6 @@ class DistanceOracle
     std::shared_ptr<arch::OracleStore> store;
     const arch::Mrrg *mrrg = nullptr;
     uint64_t mrrgUid = 0; ///< identity of the bound graph, 0 = unbound
-    double fuCost = 0.0;
-    double regCost = 0.0;
     arch::ArchContext *boundContext = nullptr;
     bool privateStore = false; ///< store is exclusive to this front
     uint64_t growthEvents = 0;

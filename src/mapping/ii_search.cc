@@ -109,9 +109,18 @@ searchMinIi(Mapper &mapper, const dfg::Dfg &dfg, arch::ArchContext &context,
     const int threads = std::max(1, options.threads);
     std::atomic<long> attempts{0};
 
-    // Feasibility is derived exactly once per search; both the spatial
-    // single-shot and the temporal sweep start from the same bound.
+    // Feasibility first: an op no PE executes, or (spatial fabrics, one
+    // configuration) more nodes than PEs, leaves mii at 0.
+    const bool temporal = accel.temporalMapping();
     const int res_mii = resourceMii(dfg, accel);
+    if (res_mii < 0 ||
+        (!temporal && dfg.numNodes() > static_cast<size_t>(accel.numPes()))) {
+        result.seconds = total.seconds();
+        return result;
+    }
+    // A spatial fabric has one II, 1 (its maxIi()).
+    const int mii = temporal ? std::max(res_mii, analysis.recMii()) : 1;
+    result.mii = mii;
 
     // Counts one mrrgFor acquisition into the context counters.
     auto acquire_mrrg = [&](int ii) {
@@ -124,87 +133,9 @@ searchMinIi(Mapper &mapper, const dfg::Dfg &dfg, arch::ArchContext &context,
         return mrrg;
     };
 
-    if (!accel.temporalMapping()) {
-        // Spatial mapping: single configuration, one attempt. An
-        // unmappable op leaves mii at 0, exactly like the temporal branch.
-        if (res_mii < 0 ||
-            dfg.numNodes() > static_cast<size_t>(accel.numPes())) {
-            result.seconds = total.seconds();
-            return result;
-        }
-        result.mii = 1;
-        // Honor external cancellation before launching the one attempt,
-        // exactly like the temporal loop does at the top of each II.
+    for (int ii = mii; ii <= accel.maxIi(); ++ii) {
         // relaxed: advisory cancellation latch, no data published
         // through it (see MapContext::cancelled's contract).
-        if (options.stop &&
-            options.stop->load(std::memory_order_relaxed)) {
-            result.seconds = total.seconds();
-            return result;
-        }
-        if (options.incumbent &&
-            options.incumbent->dominates(1, options.memberRank)) {
-            result.cancelledAtIi = 1;
-            ++result.stats.incumbentCancels;
-            result.seconds = total.seconds();
-            return result;
-        }
-        // The per-attempt budget is capped by the total budget (and can
-        // never go negative): a sweep whose total budget is already
-        // exhausted must not launch an attempt at all.
-        const double budget =
-            std::max(0.0, std::min(options.perIiBudget,
-                                   options.totalBudget - total.seconds()));
-        if (budget <= 0.0) {
-            result.seconds = total.seconds();
-            return result;
-        }
-        auto mrrg = acquire_mrrg(1);
-        MapContext ctx{dfg,
-                       analysis,
-                       mrrg,
-                       budget,
-                       base.split(1),
-                       threads,
-                       options.stop,
-                       nullptr,
-                       &attempts,
-                       &result.stats,
-                       &context,
-                       options.incumbent,
-                       1,
-                       options.memberRank};
-        auto mapping = mapper.tryMap(ctx);
-        result.attempts = attempts.load();
-        if (mapping) {
-            // Final-answer check: every mapping searchMinIi hands out has
-            // passed the independent verifier, in every build type.
-            Stopwatch verify_timer;
-            verify::checkOrDie(*mapping, {}, "searchMinIi final (spatial)");
-            result.verifySeconds = verify_timer.seconds();
-            result.verified = true;
-            result.success = true;
-            result.ii = 1;
-            result.mapping = std::move(mapping);
-            if (options.incumbent)
-                options.incumbent->offer(1, options.memberRank);
-        }
-        // Total compilation time includes the final verification, exactly
-        // like the temporal branch (which stamps after its sweep loop).
-        result.seconds = total.seconds();
-        return result;
-    }
-
-    if (res_mii < 0) {
-        result.seconds = total.seconds();
-        return result; // some op unsupported anywhere
-    }
-    const int mii = std::max(res_mii, analysis.recMii());
-    result.mii = mii;
-
-    for (int ii = mii; ii <= accel.maxIi(); ++ii) {
-        // relaxed: advisory cancellation latch (same contract as the
-        // spatial branch above).
         if (options.stop &&
             options.stop->load(std::memory_order_relaxed)) {
             break;

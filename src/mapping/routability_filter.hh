@@ -26,7 +26,7 @@
  *    (hard-capacity) calls: with overuse allowed, occupancy softens to
  *    costs and structurally feasible candidates always route. Only the
  *    exact mapper routes with hard capacity, so only it arms the tier
- *    (LearnedAdmission below, ExactConfig::learnedPruning).
+ *    (LearnedAdmission below) whenever the context holds a model.
  *
  * Admission on an armed workspace, after tier 0 admitted the call:
  *  - collecting (a sink path is set, setRoutabilityCollection): the call

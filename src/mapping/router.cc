@@ -30,7 +30,7 @@ stepCost(const Mapping &mapping, int res, int64_t key,
     if (mapping.numInstancesOn(res) > 0) {
         if (!costs.allowOveruse)
             return kInf;
-        c += costs.overusePenalty;
+        c += kOverusePenalty;
     }
     return c;
 }
@@ -111,7 +111,7 @@ routeTemporal(const Mapping &mapping, dfg::EdgeId e, const RouterCosts &costs,
     const int per_layer = mrrg.perLayerCount();
     const int ii = mrrg.ii();
 
-    ws.oracle.bind(mapping.mrrgPtr(), costs, ws.archContext, ws.counters);
+    ws.oracle.bind(mapping.mrrgPtr(), ws.archContext, ws.counters);
     const auto hops = ws.oracle.minHopsTo(dst.pe, dst.time, ws.counters);
     const auto base = ws.oracle.baseCosts();
 
@@ -266,7 +266,7 @@ routeSpatial(const Mapping &mapping, dfg::EdgeId e, const RouterCosts &costs,
     const Placement &dst = mapping.placement(edge.dst);
     const int64_t key = mapping.instanceKey(edge.src, AbsTime{0});
 
-    ws.oracle.bind(mapping.mrrgPtr(), costs, ws.archContext, ws.counters);
+    ws.oracle.bind(mapping.mrrgPtr(), ws.archContext, ws.counters);
     const auto h = ws.oracle.minCostTo(dst.pe, ws.counters);
     const auto base = ws.oracle.baseCosts();
 
@@ -413,7 +413,7 @@ routeContested(const Mapping &mapping, dfg::EdgeId e, const dfg::Edge &edge,
 
 bool
 provablyUnroutable(const Mapping &mapping, dfg::EdgeId e,
-                   const RouterCosts &costs, RouterWorkspace &ws)
+                   RouterWorkspace &ws)
 {
     const auto &mrrg = mapping.mrrg();
     if (!mrrg.accel().temporalMapping())
@@ -424,7 +424,7 @@ provablyUnroutable(const Mapping &mapping, dfg::EdgeId e,
     const dfg::Edge &edge = mapping.dfg().edge(e);
     const Placement &src = mapping.placement(edge.src);
     const Placement &dst = mapping.placement(edge.dst);
-    ws.oracle.bind(mapping.mrrgPtr(), costs, ws.archContext, ws.counters);
+    ws.oracle.bind(mapping.mrrgPtr(), ws.archContext, ws.counters);
     const auto hops = ws.oracle.minHopsTo(dst.pe, dst.time, ws.counters);
     const int fu = mrrg.fuId(src.pe, src.time);
     const int32_t h = hops[static_cast<size_t>(fu)];
@@ -443,7 +443,7 @@ routeEdge(const Mapping &mapping, dfg::EdgeId e, const RouterCosts &costs,
 
     if (mapping.mrrg().accel().temporalMapping()) {
         // Tier 0: the structural rule, exact for every caller.
-        if (provablyUnroutable(mapping, e, costs, ws)) {
+        if (provablyUnroutable(mapping, e, ws)) {
             ++ws.counters.filterQueries;
             ++ws.counters.filterRejects;
             return nullptr;

@@ -21,13 +21,18 @@ namespace lisa::map {
 
 class RouterWorkspace;
 
-/** Router cost knobs. */
+/** @{ Route prices. Every route pays the entry cost of each resource it
+ *  newly occupies; search mode adds the penalty per value already on it. */
+inline constexpr double kFuRouteCost = 1.0;    ///< FU as route-through
+inline constexpr double kRegRouteCost = 0.7;   ///< register, one cycle
+inline constexpr double kOverusePenalty = 8.0; ///< per taken resource
+/** @} */
+
+/** Router mode: the annealers search with overuse priced in; the exact
+ *  mapper routes strictly. */
 struct RouterCosts
 {
-    double fuCost = 1.0;         ///< occupying an FU as route-through
-    double regCost = 0.7;        ///< holding in a register one cycle
-    double overusePenalty = 8.0; ///< extra cost per already-taken resource
-    bool allowOveruse = true;    ///< false = blocked instead of penalised
+    bool allowOveruse = true; ///< false = blocked instead of penalised
 };
 
 /**
@@ -58,7 +63,7 @@ struct RouteResult
  * binds @p ws's oracle.
  */
 bool provablyUnroutable(const Mapping &mapping, dfg::EdgeId e,
-                        const RouterCosts &costs, RouterWorkspace &ws);
+                        RouterWorkspace &ws);
 
 /**
  * Route edge @p e of @p mapping using @p ws for all scratch state. Both

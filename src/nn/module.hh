@@ -54,9 +54,6 @@ class Linear : public Module
 
     Tensor forward(const Tensor &x) const;
 
-    int inDim() const { return weight.rows(); }
-    int outDim() const { return weight.cols(); }
-
   private:
     Tensor weight;
     Tensor bias;

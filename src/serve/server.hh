@@ -70,8 +70,6 @@ class ServeServer
      */
     std::string handleLine(const std::string &line);
 
-    const std::string &socketPath() const { return path; }
-
   private:
     void acceptLoop();
     void connectionLoop(int fd);

@@ -1,6 +1,5 @@
 #include "serve/service.hh"
 
-#include <cstdlib>
 #include <exception>
 #include <sstream>
 
@@ -13,13 +12,6 @@
 #include "verify/verify.hh"
 
 namespace lisa::serve {
-
-std::string
-ServeConfig::envCacheFile()
-{
-    const char *v = std::getenv("LISA_SERVE_CACHE");
-    return v ? v : "";
-}
 
 std::string
 ServeStats::toJson() const

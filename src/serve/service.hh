@@ -65,14 +65,10 @@ namespace lisa::serve {
 /** Daemon-level configuration. */
 struct ServeConfig
 {
-    /** Result-cache persistence file ("" = in-memory only). Default is
-     *  the LISA_SERVE_CACHE environment knob. */
-    std::string cacheFile = envCacheFile();
+    /** Result-cache persistence file ("" = in-memory only). */
+    std::string cacheFile;
     /** Admission control: max concurrently running searches. */
     int maxInflight = 2;
-
-    /** Value of the LISA_SERVE_CACHE knob ("" when unset). */
-    static std::string envCacheFile();
 };
 
 /** Monotonic service counters (snapshot; see MappingService::stats). */

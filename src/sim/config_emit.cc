@@ -1,6 +1,5 @@
 #include "sim/config_emit.hh"
 
-#include <ostream>
 #include <sstream>
 
 #include "support/logging.hh"
@@ -48,10 +47,11 @@ extractConfiguration(const map::Mapping &mapping)
     return config;
 }
 
-void
-writeConfiguration(const map::Mapping &mapping, std::ostream &os)
+std::string
+configurationToText(const map::Mapping &mapping)
 {
-    Configuration config = extractConfiguration(mapping);
+    const Configuration config = extractConfiguration(mapping);
+    std::ostringstream os;
     const auto &dfg = mapping.dfg();
     const auto &accel = mapping.mrrg().accel();
 
@@ -87,13 +87,6 @@ writeConfiguration(const map::Mapping &mapping, std::ostream &os)
             os << '\n';
         }
     }
-}
-
-std::string
-configurationToText(const map::Mapping &mapping)
-{
-    std::ostringstream os;
-    writeConfiguration(mapping, os);
     return os.str();
 }
 

@@ -10,8 +10,8 @@
 #ifndef LISA_SIM_CONFIG_EMIT_HH
 #define LISA_SIM_CONFIG_EMIT_HH
 
-#include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "mapping/mapping.hh"
 
@@ -39,10 +39,8 @@ using Configuration = std::vector<std::vector<PeConfig>>;
 /** Extract the configuration of a valid mapping. */
 Configuration extractConfiguration(const map::Mapping &mapping);
 
-/** Render the configuration as an aligned text listing. */
-void writeConfiguration(const map::Mapping &mapping, std::ostream &os);
-
-/** Render to a string. */
+/** Render the configuration of a valid mapping as an aligned text
+ *  listing. */
 std::string configurationToText(const map::Mapping &mapping);
 
 } // namespace lisa::sim

@@ -4,22 +4,6 @@
 
 namespace lisa {
 
-namespace {
-bool gVerbose = false;
-} // namespace
-
-void
-setVerbose(bool verbose)
-{
-    gVerbose = verbose;
-}
-
-bool
-verbose()
-{
-    return gVerbose;
-}
-
 namespace detail {
 
 void

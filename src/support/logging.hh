@@ -16,12 +16,6 @@
 
 namespace lisa {
 
-/** Global verbosity switch; when false, inform() is silent. */
-void setVerbose(bool verbose);
-
-/** @return whether inform() currently prints. */
-bool verbose();
-
 namespace detail {
 
 void emit(const char *tag, const std::string &msg);
@@ -39,13 +33,12 @@ format(Args &&...args)
 
 } // namespace detail
 
-/** Print an informational message (suppressed unless verbose). */
+/** Print an informational message. */
 template <typename... Args>
 void
 inform(Args &&...args)
 {
-    if (verbose())
-        detail::emit("info", detail::format(std::forward<Args>(args)...));
+    detail::emit("info", detail::format(std::forward<Args>(args)...));
 }
 
 /** Print a warning; execution continues. */

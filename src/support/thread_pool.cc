@@ -1,7 +1,8 @@
 #include "support/thread_pool.hh"
 
 #include <algorithm>
-#include <cstdlib>
+#include <atomic>
+#include <memory>
 
 namespace lisa {
 
@@ -107,19 +108,7 @@ namespace {
 
 support::Mutex g_poolMutex;
 std::unique_ptr<ThreadPool> g_pool LISA_GUARDED_BY(g_poolMutex);
-int g_threads LISA_GUARDED_BY(g_poolMutex) = 0; // 0 = not yet resolved
-
-int
-defaultThreads()
-{
-    const char *env = std::getenv("LISA_THREADS");
-    if (env && *env) {
-        int n = std::atoi(env);
-        if (n >= 1)
-            return n;
-    }
-    return 1;
-}
+int g_threads LISA_GUARDED_BY(g_poolMutex) = 1;
 
 } // namespace
 
@@ -127,8 +116,6 @@ ThreadPool &
 ThreadPool::global()
 {
     support::LockGuard lock(g_poolMutex);
-    if (g_threads == 0)
-        g_threads = defaultThreads();
     if (!g_pool)
         g_pool = std::make_unique<ThreadPool>(
             static_cast<size_t>(g_threads - 1));
@@ -150,8 +137,6 @@ int
 ThreadPool::globalThreads()
 {
     support::LockGuard lock(g_poolMutex);
-    if (g_threads == 0)
-        g_threads = defaultThreads();
     return g_threads;
 }
 

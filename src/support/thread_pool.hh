@@ -2,38 +2,31 @@
  * @file
  * Fixed-size worker pool used by the parallel mapper stack.
  *
- * A pool of N worker threads drains one shared task queue. Two entry
- * points:
- *  - submit(fn): enqueue a task, get a std::future for its result;
- *  - parallelFor(n, body): run body(0..n-1) across the pool and block
- *    until every index finished. The calling thread participates in its
- *    own batch, so nested parallelFor calls from inside a worker task can
- *    never deadlock (the nested caller drains its own indices itself when
- *    all workers are busy).
+ * A pool of N worker threads drains one shared task queue. Its entry
+ * point, parallelFor(n, body), runs body(0..n-1) across the pool and
+ * blocks until every index finished. The calling thread participates in
+ * its own batch, so nested parallelFor calls from inside a worker task
+ * can never deadlock (the nested caller drains its own indices itself
+ * when all workers are busy).
  *
  * A pool constructed with zero workers degrades to strictly serial inline
  * execution, which is the deterministic `--threads 1` baseline. The
  * process-wide pool (`ThreadPool::global()`) is sized by
  * setGlobalThreads(T) as T-1 workers plus the participating caller; T
- * defaults to the LISA_THREADS environment variable or 1.
+ * defaults to 1.
  *
- * Task bodies must not throw: submit() transports exceptions through the
- * future, but parallelFor bodies run on arbitrary threads where an escape
- * would terminate the process.
+ * Task bodies must not throw: parallelFor bodies run on arbitrary threads
+ * where an escape would terminate the process.
  */
 
 #ifndef LISA_SUPPORT_THREAD_POOL_HH
 #define LISA_SUPPORT_THREAD_POOL_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "support/thread_annotations.hh"
@@ -52,28 +45,6 @@ class ThreadPool
 
     /** Number of worker threads (excluding participating callers). */
     size_t size() const { return workers.size(); }
-
-    /** Enqueue one task; the future carries its result (or exception). */
-    template <typename F>
-    auto
-    submit(F fn) -> std::future<std::invoke_result_t<F>>
-    {
-        using R = std::invoke_result_t<F>;
-        auto task =
-            std::make_shared<std::packaged_task<R()>>(std::move(fn));
-        std::future<R> out = task->get_future();
-        auto wrapped = [task]() { (*task)(); };
-        if (workers.empty()) {
-            wrapped(); // no workers: run inline, future already ready
-            return out;
-        }
-        {
-            support::LockGuard lock(mutex);
-            tasks.emplace_back(std::move(wrapped));
-        }
-        taskReady.notify_one();
-        return out;
-    }
 
     /**
      * Run body(i) for every i in [0, n). Blocks until all indices are
@@ -105,7 +76,7 @@ class ThreadPool
     support::Mutex mutex;
     /** Pending task queue; workers pop under the pool mutex. */
     std::deque<std::function<void()>> tasks LISA_GUARDED_BY(mutex);
-    /** Signalled on submit and at shutdown; waited on under `mutex`. */
+    /** Signalled on parallelFor and at shutdown; waited on under `mutex`. */
     std::condition_variable_any taskReady;
     bool stopping LISA_GUARDED_BY(mutex) = false;
 };

@@ -1,10 +1,37 @@
 #include "dfg_text_reference.hh"
 
+#include <cctype>
 #include <sstream>
 
 #include "dfg/serialize.hh"
 
 namespace lisa::dfg {
+
+namespace {
+
+/** Replace every %XX in @p name by the byte it spells; false when a '%'
+ *  lacks two hex digits. */
+bool
+unescapeName(std::string &name)
+{
+    std::string out;
+    for (size_t i = 0; i < name.size(); ++i) {
+        if (name[i] != '%') {
+            out += name[i];
+            continue;
+        }
+        if (i + 2 >= name.size() ||
+            !std::isxdigit(static_cast<unsigned char>(name[i + 1])) ||
+            !std::isxdigit(static_cast<unsigned char>(name[i + 2])))
+            return false;
+        out += static_cast<char>(std::stoi(name.substr(i + 1, 2), nullptr, 16));
+        i += 2;
+    }
+    name = out;
+    return true;
+}
+
+} // namespace
 
 std::optional<Dfg>
 fromTextReference(const std::string &text, std::string *error)
@@ -32,6 +59,9 @@ fromTextReference(const std::string &text, std::string *error)
         if (kind == "dfg") {
             std::string name;
             ls >> name;
+            if (!unescapeName(name))
+                return fail("line " + std::to_string(lineno) +
+                            ": malformed graph name");
             g.setName(name);
             have_header = true;
         } else if (kind == "node") {
@@ -52,6 +82,9 @@ fromTextReference(const std::string &text, std::string *error)
                 return fail("line " + std::to_string(lineno) +
                             ": unknown op '" + op + "'");
             ls >> name;
+            if (!unescapeName(name))
+                return fail("line " + std::to_string(lineno) +
+                            ": malformed node name");
             g.addNode(*code, name);
         } else if (kind == "edge") {
             int src, dst, dist = 0;

@@ -14,7 +14,8 @@
  * 0 with op `add`, and reads a non-integer iteration distance
  * (`edge 0 1 x`, `edge 0 1 2.5`) as 0 or as its integer prefix. The
  * production parser requires every integer field to be a whole integer
- * token and rejects those lines.
+ * token and rejects those lines. Both readers decode %XX escapes in
+ * names, each with its own code.
  */
 
 #ifndef LISA_TESTS_DFG_TEXT_REFERENCE_HH

@@ -25,11 +25,11 @@ stepCost(const Mapping &mapping, int res, int64_t key,
         return 0.0;
     const arch::Resource &r = mapping.mrrg().resource(res);
     double base =
-        (r.kind == arch::ResourceKind::Fu) ? costs.fuCost : costs.regCost;
+        (r.kind == arch::ResourceKind::Fu) ? kFuRouteCost : kRegRouteCost;
     if (mapping.numInstancesOn(res) > 0) {
         if (!costs.allowOveruse)
             return kInf;
-        base += costs.overusePenalty;
+        base += kOverusePenalty;
     }
     return base;
 }

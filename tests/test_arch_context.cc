@@ -86,7 +86,7 @@ TEST(OracleStore, RotatedHopTablesMatchDirectBfs)
     arch::ArchContext ctx(accel);
     const int ii = 3;
     auto mrrg = ctx.mrrgFor(ii);
-    auto store = ctx.oracleStoreFor(mrrg, 1.0, 0.7);
+    auto store = ctx.oracleStoreFor(mrrg);
     uint64_t builds = 0, misses = 0, hits = 0;
     for (int pe = 0; pe < accel.numPes(); ++pe) {
         for (int layer = 0; layer < ii; ++layer) {
@@ -110,7 +110,7 @@ TEST(OracleStore, SpatialCostTablesMatchReferenceRelaxation)
     arch::SystolicArch accel(3, 4);
     arch::ArchContext ctx(accel);
     auto mrrg = ctx.mrrgFor(1);
-    auto store = ctx.oracleStoreFor(mrrg, 1.0, 0.7);
+    auto store = ctx.oracleStoreFor(mrrg);
     uint64_t builds = 0, misses = 0, hits = 0;
     for (int pe = 0; pe < accel.numPes(); ++pe) {
         const auto &tab = store->ensureCostTable(pe, builds, misses, hits);
@@ -137,13 +137,13 @@ TEST(ArchContext, MrrgAndStoreAreSharedAcrossRequests)
     EXPECT_FALSE(hit);
     EXPECT_NE(a.get(), c.get());
 
-    auto s1 = ctx.oracleStoreFor(a, 1.0, 0.7, &hit);
+    auto s1 = ctx.oracleStoreFor(a, &hit);
     EXPECT_FALSE(hit);
-    auto s2 = ctx.oracleStoreFor(b, 1.0, 0.7, &hit);
+    auto s2 = ctx.oracleStoreFor(b, &hit);
     EXPECT_TRUE(hit);
     EXPECT_EQ(s1.get(), s2.get());
-    // Different cost knobs are a different binding on the same graph.
-    auto s3 = ctx.oracleStoreFor(a, 1.0, 0.0, &hit);
+    // Another II is another graph, so another store.
+    auto s3 = ctx.oracleStoreFor(c, &hit);
     EXPECT_FALSE(hit);
     EXPECT_NE(s1.get(), s3.get());
 }
@@ -164,11 +164,9 @@ TEST(ArchContext, RepeatSearchDerivesNoNewTables)
 
     // Exhaust every hop table the first search could have left unbuilt, so
     // the assertion below is independent of wall-clock-dependent coverage.
-    const map::RouterCosts costs;
     uint64_t builds = 0, misses = 0, hits = 0;
     for (int ii = 1; ii <= r1.ii; ++ii) {
-        auto store =
-            ctx.oracleStoreFor(ctx.mrrgFor(ii), costs.fuCost, costs.regCost);
+        auto store = ctx.oracleStoreFor(ctx.mrrgFor(ii));
         for (int pe = 0; pe < accel.numPes(); ++pe)
             for (int layer = 0; layer < ii; ++layer)
                 (void)store->ensureHopTable(layer, pe, builds, misses, hits);
@@ -194,7 +192,7 @@ TEST(ArchContext, DestroysAfterAcceleratorDied)
     auto accel = std::make_unique<arch::CgraArch>(arch::baselineCgra(4, 4));
     std::optional<arch::ArchContext> ctx;
     ctx.emplace(*accel);
-    auto store = ctx->oracleStoreFor(ctx->mrrgFor(2), 1.0, 0.7);
+    auto store = ctx->oracleStoreFor(ctx->mrrgFor(2));
     uint64_t builds = 0, misses = 0, hits = 0;
     (void)store->ensureHopTable(0, 3, builds, misses, hits);
     EXPECT_EQ(builds, 1u);

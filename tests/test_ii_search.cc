@@ -276,6 +276,48 @@ TEST(SearchMinIi, SpatialIncumbentDominationSkipsAttempt)
     EXPECT_EQ(r.stats.incumbentCancels, 1u);
 }
 
+/** Probe mapper: a portfolio sibling reaches II 1 at a better rank
+ *  while this attempt runs, and the attempt then fails. */
+struct OvertakenMapper : Mapper
+{
+    IiIncumbent *incumbent = nullptr;
+    int calls = 0;
+    std::string name() const override { return "overtaken"; }
+    std::optional<Mapping>
+    tryMap(const MapContext &) override
+    {
+        ++calls;
+        incumbent->offer(1, 0);
+        return std::nullopt;
+    }
+};
+
+TEST(SearchMinIi, SpatialAttemptDominatedMidRunIsCancelled)
+{
+    // Spatial fabrics run the same II loop as temporal ones, so an
+    // attempt cut short by the incumbent is attributed to II 1.
+    arch::SystolicArch s(3, 5);
+    dfg::DfgBuilder b("c2");
+    auto x = b.load("x");
+    b.op(OpCode::Add, {x});
+    dfg::Dfg g = b.build();
+    IiIncumbent incumbent;
+    OvertakenMapper probe;
+    probe.incumbent = &incumbent;
+    SearchOptions opts;
+    opts.perIiBudget = 5.0;
+    opts.totalBudget = 5.0;
+    opts.incumbent = &incumbent;
+    opts.memberRank = 1;
+    arch::ArchContext ctx(s);
+    auto r = searchMinIi(probe, g, ctx, opts);
+    EXPECT_FALSE(r.success);
+    EXPECT_EQ(probe.calls, 1);
+    EXPECT_EQ(r.mii, 1);
+    EXPECT_EQ(r.cancelledAtIi, 1);
+    EXPECT_EQ(r.stats.incumbentCancels, 1u);
+}
+
 TEST(SearchMinIi, TemporalIncumbentBoundsSweep)
 {
     // Incumbent holds (II 2, rank 0); this sweep races at rank 1. Its

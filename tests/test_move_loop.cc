@@ -145,7 +145,7 @@ TEST(MoveBound, NeverAboveFinalDelta)
         beginMove(m, v, pe, time, affected);
         std::vector<dfg::EdgeId> live;
         for (dfg::EdgeId e : affected) {
-            if (provablyUnroutable(m, e, costs, ws))
+            if (provablyUnroutable(m, e, ws))
                 ++dead;
             else
                 live.push_back(e);
@@ -216,7 +216,7 @@ TEST(MoveBound, RouteMoveMatchesRoutingEveryEdge)
         Rng move_rng = rng;
         beginMove(m, v, pe, time, affected);
         const std::vector<dfg::EdgeId> rip_up = affected;
-        const MoveTest test{costs, params, temp, valid_commits};
+        const MoveTest test{temp, valid_commits, params};
         const MoveVerdict verdict =
             routeMove(m, affected, test, ws, move_rng, stats);
         EXPECT_EQ(verdict.accept, full_accept) << "move " << moves;
@@ -277,7 +277,7 @@ TEST(MoveBound, LisaRuleKeepsAMoveThatEndsValid)
         MapperStats stats;
         Rng rng(1);
         beginMove(m, sum, 5, 5, affected);
-        const MoveTest test{costs, resources_only, 0.5, valid_commits};
+        const MoveTest test{0.5, valid_commits, resources_only};
         const MoveVerdict verdict =
             routeMove(m, affected, test, ws, rng, stats);
         EXPECT_EQ(verdict.accept, valid_commits);

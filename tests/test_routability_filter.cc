@@ -256,7 +256,7 @@ TEST(RoutabilityFilter, Tier0RejectsSkipRouterCalls)
             }
             for (dfg::EdgeId e = 0;
                  e < static_cast<dfg::EdgeId>(g.numEdges()); ++e) {
-                const bool dead = map::provablyUnroutable(m, e, costs, ws);
+                const bool dead = map::provablyUnroutable(m, e, ws);
                 const map::RouterCounters before = ws.counters;
                 const map::RouteResult *r = map::routeEdge(m, e, costs, ws);
                 const map::RouterCounters &after = ws.counters;
@@ -316,9 +316,8 @@ TEST(RoutabilityFilter, ExactMapperFailClosedUnderAlwaysRejectModel)
     dfg::Analysis an(g);
     auto mrrg = std::make_shared<const arch::Mrrg>(accel, 1);
 
-    auto runOnce = [&](arch::ArchContext &ctx, map::ExactConfig cfg,
-                       map::MapperStats *stats) {
-        map::ExactMapper ex(cfg);
+    auto runOnce = [&](arch::ArchContext &ctx, map::MapperStats *stats) {
+        map::ExactMapper ex;
         Rng rng(1);
         map::MapContext mctx{g, an, mrrg, 10.0, rng};
         mctx.archCtx = &ctx;
@@ -327,24 +326,20 @@ TEST(RoutabilityFilter, ExactMapperFailClosedUnderAlwaysRejectModel)
         return m.has_value() ? verify::mappingToText(*m) : std::string{};
     };
 
-    const std::string plain_text = runOnce(plain, {}, nullptr);
+    // A context without a model takes tier-0 structural rejects only:
+    // one pass, no learned vetoes at all.
+    map::MapperStats tier0_stats;
+    const std::string plain_text = runOnce(plain, &tier0_stats);
     ASSERT_FALSE(plain_text.empty());
+    EXPECT_EQ(tier0_stats.router.filterShadowRoutes, 0u);
+    EXPECT_EQ(tier0_stats.router.filterFalseRejects, 0u);
 
     map::MapperStats model_stats;
-    EXPECT_EQ(plain_text, runOnce(with_model, {}, &model_stats));
+    EXPECT_EQ(plain_text, runOnce(with_model, &model_stats));
     // The first pass must actually have taken learned vetoes (every
     // learned veto shadow-samples, the first unconditionally) for the
     // model-free rerun to be the thing under test.
     EXPECT_GT(model_stats.router.filterShadowRoutes, 0u);
-
-    // Opting out of learned pruning takes tier-0 structural rejects
-    // only: same mapping in a single pass, no learned vetoes at all.
-    map::ExactConfig tier0_only;
-    tier0_only.learnedPruning = false;
-    map::MapperStats tier0_stats;
-    EXPECT_EQ(plain_text, runOnce(with_model, tier0_only, &tier0_stats));
-    EXPECT_EQ(tier0_stats.router.filterShadowRoutes, 0u);
-    EXPECT_EQ(tier0_stats.router.filterFalseRejects, 0u);
 }
 
 TEST(RoutabilityFilter, CollectModeWritesLabeledSamples)

@@ -147,7 +147,7 @@ TEST(Router, StrictModeBlocksOccupied)
     RouterCosts lenient;
     const RouteResult *r2 = routeEdge(m, 0, lenient, ws);
     ASSERT_NE(r2, nullptr);
-    EXPECT_GT(r2->cost, lenient.overusePenalty);
+    EXPECT_GT(r2->cost, kOverusePenalty);
 }
 
 TEST(Router, FanoutReusesExistingRoute)
@@ -367,7 +367,7 @@ TEST(Router, ProvablyUnroutableImpliesFailure)
                 }
                 for (dfg::EdgeId e = 0;
                      e < static_cast<dfg::EdgeId>(g.numEdges()); ++e) {
-                    const bool dead = provablyUnroutable(m, e, costs, ws);
+                    const bool dead = provablyUnroutable(m, e, ws);
                     const RouteResult *r =
                         routeEdgeReference(m, e, costs, ws);
                     if (dead) {

@@ -5,11 +5,33 @@
 #include "dfg/builder.hh"
 #include "dfg/generator.hh"
 #include "dfg/serialize.hh"
+#include "workloads/registry.hh"
 
 namespace {
 
 using namespace lisa::dfg;
 using lisa::Rng;
+
+/** Expect @p got to be @p want node for node and edge for edge: ops,
+ *  names, endpoints and iteration distances, plus the graph name. */
+void
+expectSameGraph(const Dfg &got, const Dfg &want)
+{
+    EXPECT_EQ(got.name(), want.name());
+    ASSERT_EQ(got.numNodes(), want.numNodes()) << want.name();
+    ASSERT_EQ(got.numEdges(), want.numEdges()) << want.name();
+    for (const Node &n : want.nodes()) {
+        EXPECT_EQ(got.node(n.id).op, n.op) << want.name();
+        EXPECT_EQ(got.node(n.id).name, n.name) << want.name();
+    }
+    for (size_t i = 0; i < want.numEdges(); ++i) {
+        const Edge &a = got.edge(static_cast<EdgeId>(i));
+        const Edge &b = want.edge(static_cast<EdgeId>(i));
+        EXPECT_EQ(a.src, b.src) << want.name();
+        EXPECT_EQ(a.dst, b.dst) << want.name();
+        EXPECT_EQ(a.iterDistance, b.iterDistance) << want.name();
+    }
+}
 
 Dfg
 sample()
@@ -55,6 +77,61 @@ TEST(Serialize, RoundTripRandomGraphs)
         auto parsed = fromText(toText(g));
         ASSERT_TRUE(parsed.has_value());
         EXPECT_EQ(toText(*parsed), toText(g));
+    }
+}
+
+TEST(Serialize, InTreeKernelsRoundTripWithNames)
+{
+    // Unrolled copies are named "name#k": '#' starts a comment, so the
+    // writer must escape it for the name to come back whole.
+    std::vector<lisa::workloads::Workload> suite =
+        lisa::workloads::polybenchSuite();
+    for (int factor : {2, 4, 8})
+        for (auto &w : lisa::workloads::unrolledSuite(factor))
+            suite.push_back(std::move(w));
+    for (auto &w : lisa::workloads::streamingSuite())
+        suite.push_back(std::move(w));
+    int hashed_names = 0;
+    for (const auto &w : suite) {
+        for (const Node &n : w.dfg.nodes())
+            hashed_names += n.name.find('#') != std::string::npos;
+        std::string error;
+        const auto parsed = fromText(toText(w.dfg), &error);
+        ASSERT_TRUE(parsed.has_value()) << w.name << ": " << error;
+        expectSameGraph(*parsed, w.dfg);
+    }
+    EXPECT_GT(hashed_names, 0);
+}
+
+TEST(Serialize, AnyNameRoundTrips)
+{
+    const std::vector<std::string> names = {
+        "B2.a#3", "two words", "tab\there", "line\nbreak", "100%",
+        "%23",    "#",         "\x7f\x01", "ok"};
+    DfgBuilder b("graph #1 %");
+    auto v = b.load(names.front());
+    for (size_t i = 1; i + 1 < names.size(); ++i)
+        v = b.op(OpCode::Add, {v}, names[i]);
+    b.store(v, names.back());
+    const Dfg g = b.build();
+    const std::string text = toText(g);
+    EXPECT_EQ(text.find('#'), std::string::npos) << text;
+    EXPECT_NE(text.find("node 0 load B2.a%233\n"), std::string::npos)
+        << text;
+    std::string error;
+    const auto parsed = fromText(text, &error);
+    ASSERT_TRUE(parsed.has_value()) << error;
+    expectSameGraph(*parsed, g);
+}
+
+TEST(Serialize, RejectsMalformedNameEscapes)
+{
+    for (const char *text : {"dfg g\nnode 0 load a%2\n",
+                             "dfg g\nnode 0 load a%zz\n",
+                             "dfg g%\nnode 0 load a\n"}) {
+        std::string error;
+        EXPECT_FALSE(fromText(text, &error).has_value()) << text;
+        EXPECT_NE(error.find("malformed"), std::string::npos) << error;
     }
 }
 

@@ -619,6 +619,31 @@ TEST(MappingService, CachePersistsAcrossRestart)
     std::remove(path.c_str());
 }
 
+TEST(MappingService, WarmStartReportsEntryCount)
+{
+    const std::string path = tempPath("serve_warm_report.lsrv");
+    std::remove(path.c_str());
+    {
+        ServeConfig cfg;
+        cfg.cacheFile = path;
+        MappingService service(cfg);
+        ASSERT_TRUE(service.map(kernelRequest()).ok);
+    }
+    ServeConfig cfg;
+    cfg.cacheFile = path;
+    testing::internal::CaptureStderr();
+    {
+        MappingService service(cfg);
+    }
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("[info] lisa-serve: warm-started 1 cache entries "
+                       "from " +
+                       path),
+              std::string::npos)
+        << err;
+    std::remove(path.c_str());
+}
+
 /** A load -> add (x @p adds) -> store chain: distinct @p adds give
  *  distinct cache keys. */
 std::string

@@ -36,17 +36,6 @@ TEST(ThreadPool, ZeroWorkersRunsInlineSerially)
         EXPECT_EQ(order[i], i); // strictly in order, caller thread only
 }
 
-TEST(ThreadPool, SubmitDeliversResultThroughFuture)
-{
-    ThreadPool pool(2);
-    auto f = pool.submit([]() { return 6 * 7; });
-    EXPECT_EQ(f.get(), 42);
-    // Zero-worker pools run the task inline at submit time.
-    ThreadPool inline_pool(0);
-    auto g = inline_pool.submit([]() { return std::string("done"); });
-    EXPECT_EQ(g.get(), "done");
-}
-
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock)
 {
     ThreadPool pool(2);

@@ -47,26 +47,25 @@ TEST(RefineLabels, ProducesConsistentLabels)
 
 TEST(Filter, MiiMappingsAlwaysKept)
 {
-    TrainingDataConfig cfg;
     RefinedLabels r;
     r.bestIi = 3;
     r.mii = 3;
     r.candidates = 1;
-    EXPECT_TRUE(passesFilter(r, cfg));
+    EXPECT_TRUE(passesFilter(r));
 }
 
 TEST(Filter, FarFromOptimalWithFewCandidatesDropped)
 {
-    TrainingDataConfig cfg; // threshold 0.8, sigma 0.1
+    // The paper's threshold 0.8 and sigma 0.1.
     RefinedLabels r;
     r.bestIi = 6;
     r.mii = 2;
     r.candidates = 1;
     // 0.333 + 0.1 = 0.43 < 0.8.
-    EXPECT_FALSE(passesFilter(r, cfg));
+    EXPECT_FALSE(passesFilter(r));
     r.candidates = 5;
     // 0.333 + 0.5 = 0.83 >= 0.8.
-    EXPECT_TRUE(passesFilter(r, cfg));
+    EXPECT_TRUE(passesFilter(r));
 }
 
 TEST(GenerateTrainingSet, ProducesAlignedSamples)

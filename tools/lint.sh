@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Zero-allocation and no-knob lint for the router hot path, plus the
-# allow-list of environment knobs the library reads.
+# Zero-allocation lint for the router hot path, plus a ban on
+# environment reads in the library and the bench binaries.
 #
 # The inner routing loops (routeEdge and the structures it touches) must
 # not allocate: RouterWorkspace exists precisely so per-edge routing
@@ -12,13 +12,10 @@
 #      resize / assign / reserve on a member vector) appears on a line
 #      that is not annotated with `lint:allow-growth` on the same or the
 #      preceding line, or
-#   3. an environment read (getenv) appears in a hot-path file. A
-#      per-workspace or per-call knob is a second route path; process-
-#      wide knobs resolve once, in cold code, or
-#   4. any getenv( under src/ reads something other than a string literal
-#      on the ENV_KNOBS list below, or any getenv( appears under bench/.
-#      Adding a knob to the library means editing that list, in review;
-#      a bench binary takes its settings as initBench flags.
+#   3. any getenv( appears under src/ or bench/. The library takes its
+#      settings from its callers (config structs, flags), never from the
+#      environment: a bench binary parses them in initBench, lisa-serve
+#      in its main.
 #
 # The allow marker is reserved for amortized workspace buffers whose
 # growth is tracked by RouterWorkspace::growthEvents and settles after
@@ -27,10 +24,11 @@
 # the workspace.
 #
 # Some hot-listed files also carry genuinely cold code: model loading in
-# routability_filter.cc, the per-race setup in portfolio.hh. Wrap those in `lint:cold-begin(reason)`
-# / `lint:cold-end` marker comments and every rule skips the region; unbalanced markers fail the lint. The markers
-# are deliberately loud in review — a region creeping into a hot loop
-# has to move out of the markers first.
+# routability_filter.cc, the per-race setup in portfolio.hh. Wrap those
+# in `lint:cold-begin(reason)` / `lint:cold-end` marker comments and
+# rules 1 and 2 skip the region; unbalanced markers fail the lint. The
+# markers are deliberately loud in review — a region creeping into a hot
+# loop has to move out of the markers first.
 #
 # Pure grep/awk on purpose: runs in any container, no clang tooling
 # needed.
@@ -53,12 +51,6 @@ HOT_FILES=(
     src/arch/mrrg.hh
     src/serve/cache.hh
     src/serve/cache.cc
-)
-
-# Every environment variable the library reads.
-ENV_KNOBS=(
-    LISA_THREADS
-    LISA_SERVE_CACHE
 )
 
 ALLOC_RE='(^|[^[:alnum:]_."])new[[:space:]]|std::make_unique|std::make_shared|[^[:alnum:]_]malloc[[:space:]]*\(|[^[:alnum:]_]calloc[[:space:]]*\(|[^[:alnum:]_]realloc[[:space:]]*\('
@@ -138,31 +130,13 @@ for f in "${HOT_FILES[@]}"; do
         echo "     wrap genuinely cold code in $COLD_BEGIN/$COLD_END)" >&2
         fail=1
     done < <(grep -nE "$GROWTH_RE" <<< "$filtered")
-
-    # Rule 3: no environment reads (outside cold regions).
-    if grep -nE "$ENV_RE" <<< "$filtered"; then
-        echo "lint.sh: FAIL: environment read in router hot path: $f" >&2
-        echo "    (resolve process-wide knobs once, inside a" >&2
-        echo "     $COLD_BEGIN/$COLD_END region)" >&2
-        fail=1
-    fi
 done
 
-# Rule 4: the library reads only the listed environment knobs, and the
-# bench binaries read none.
-knob_alt=$(IFS='|'; echo "${ENV_KNOBS[*]}")
-while IFS= read -r hit; do
-    [ -n "$hit" ] || continue
-    if ! printf '%s' "$hit" |
-         grep -qE "getenv[[:space:]]*\\([[:space:]]*\"($knob_alt)\"[[:space:]]*\\)"; then
-        echo "lint.sh: FAIL: environment read outside the knob list: $hit" >&2
-        echo "    (allowed: ${ENV_KNOBS[*]}; edit ENV_KNOBS to add one)" >&2
-        fail=1
-    fi
-done < <(grep -rnE "$ENV_RE" src)
-if grep -rnE "$ENV_RE" bench; then
-    echo "lint.sh: FAIL: environment read under bench/" >&2
-    echo "    (take the setting as a flag parsed in initBench)" >&2
+# Rule 3: neither the library nor the bench binaries read the
+# environment.
+if grep -rnE "$ENV_RE" src bench; then
+    echo "lint.sh: FAIL: environment read under src/ or bench/" >&2
+    echo "    (take the setting as a config field or a flag)" >&2
     fail=1
 fi
 
@@ -171,4 +145,4 @@ if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 echo "lint.sh: router hot-path lint OK (${#HOT_FILES[@]} files," \
-     "${#ENV_KNOBS[@]} env knobs)"
+     "no getenv under src/ or bench/)"

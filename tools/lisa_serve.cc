@@ -6,8 +6,8 @@
  *   lisa-serve --socket /tmp/lisa.sock [--cache FILE] [--max-inflight N]
  *              [--threads N]
  *
- * Protocol: newline-delimited JSON (serve/proto.hh). The result cache
- * file defaults to the LISA_SERVE_CACHE environment knob. Prints
+ * Protocol: newline-delimited JSON (serve/proto.hh). Without --cache the
+ * result cache lives in memory only; --threads defaults to 1. Prints
  * "lisa-serve: ready on <socket>" once accepting, exits on SIGINT /
  * SIGTERM or a client {"op":"shutdown"}.
  */
