@@ -20,6 +20,16 @@ constexpr double kTestFraction = 0.15;
 
 } // namespace
 
+size_t
+heldOutCount(size_t kept)
+{
+    if (kept < 2)
+        return 0;
+    const auto share =
+        static_cast<size_t>(static_cast<double>(kept) * kTestFraction);
+    return std::clamp<size_t>(share, 1, kept - 1);
+}
+
 LisaFramework::LisaFramework(const arch::Accelerator &accel,
                              FrameworkConfig config)
     : arch(&accel), cfg(std::move(config)), rng(cfg.seed)
@@ -127,15 +137,17 @@ LisaFramework::prepare()
 
     // Held-out split for the Table II accuracy numbers.
     rng.shuffle(samples);
-    size_t test_count = static_cast<size_t>(
-        static_cast<double>(samples.size()) * kTestFraction);
-    test_count = std::min(test_count, samples.size() - 1);
+    const size_t test_count = heldOutCount(samples.size());
     std::vector<gnn::LabeledSample> test(
         samples.end() - static_cast<long>(test_count), samples.end());
     samples.resize(samples.size() - test_count);
 
-    inform("training label models on ", samples.size(), " graphs (",
-           test.size(), " held out)");
+    if (test.empty())
+        inform("training label models on 1 graph (0 held out; label "
+               "accuracy is measured on the training graph)");
+    else
+        inform("training label models on ", samples.size(), " graphs (",
+               test.size(), " held out)");
     gnn::trainAll(*nets, samples, cfg.training);
     accuracies = gnn::evaluateAccuracy(*nets, test.empty() ? samples : test);
 

@@ -57,6 +57,14 @@ struct PortfolioConfig
 };
 
 /**
+ * How many of @p kept training graphs prepare() holds out for the Table II
+ * accuracy: 15% rounded down, but at least one whenever two or more
+ * survive the filter, and never all of them. With one survivor none is
+ * held out, and the accuracy is measured on that training graph.
+ */
+size_t heldOutCount(size_t kept);
+
+/**
  * Portable compiler instance for one accelerator.
  *
  * Concurrency contract: a LisaFramework is *externally synchronized* —
@@ -109,7 +117,8 @@ class LisaFramework
     compilePortfolio(const dfg::Dfg &dfg,
                      const PortfolioConfig &config) const;
 
-    /** Held-out accuracy per label (1..4), available after prepare(). */
+    /** Held-out accuracy per label (1..4), available after prepare();
+     *  see heldOutCount(). */
     const std::vector<double> &labelAccuracy() const { return accuracies; }
 
     /** Access to the trained models (after prepare()). */

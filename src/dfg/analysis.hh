@@ -10,7 +10,8 @@
  *
  * All analyses treat edge latency as one cycle and consider only
  * intra-iteration edges unless stated otherwise. Graphs are small (tens of
- * nodes), so O(V*E) all-pairs passes are deliberate and cheap.
+ * nodes), so O(V*E) all-pairs passes are deliberate and cheap; the
+ * all-pairs tables are flat n*n arrays.
  */
 
 #ifndef LISA_DFG_ANALYSIS_HH
@@ -42,6 +43,19 @@ struct SameLevelPair
     bool hasAncestor() const { return ancestor != kInvalidNode; }
     bool hasDescendant() const { return descendant != kInvalidNode; }
 };
+
+/**
+ * One Kahn pass over the intra-iteration subgraph: fills @p asap with each
+ * node's ASAP level and @p topo with a topological order, and returns the
+ * critical path length (levels of the longest dependency chain, >= 1).
+ * panic()s when the intra-iteration subgraph has a cycle. Analysis and
+ * Mapping's schedule horizon both take the critical path from here.
+ */
+int asapLevels(const Dfg &dfg, std::vector<int> &asap,
+               std::vector<NodeId> &topo);
+
+/** Critical path length of @p dfg alone, in O(nodes + edges). */
+int criticalPathLength(const Dfg &dfg);
 
 /**
  * Immutable bundle of analyses for one DFG. Construct once per graph and
@@ -110,15 +124,16 @@ class Analysis
     void computeRecMii();
 
     const Dfg *graph;
+    size_t nodeCount = 0;
     std::vector<int> asapLevel;
     std::vector<int> alapLevel;
     std::vector<NodeId> topo;
     std::vector<int> ancCount;
     std::vector<int> descCount;
-    /** dist[u][v]: shortest directed path length, -1 unreachable. */
-    std::vector<std::vector<int>> dist;
-    /** longest[u][v]: longest directed path length, -1 unreachable. */
-    std::vector<std::vector<int>> longest;
+    /** dist[u * n + v]: shortest directed path length, -1 unreachable. */
+    std::vector<int> dist;
+    /** longest[u * n + v]: longest directed path length, -1 unreachable. */
+    std::vector<int> longest;
     std::vector<int> levelPopulation;
     std::vector<SameLevelPair> pairs;
     int critPath = 1;

@@ -3,8 +3,9 @@
 #include <charconv>
 #include <istream>
 #include <iterator>
-#include <ostream>
 #include <sstream>
+
+#include "support/text_append.hh"
 
 namespace lisa::dfg {
 
@@ -20,10 +21,10 @@ needsEscape(char c)
     return c == '%' || c == '#' || u <= 0x20 || u == 0x7f;
 }
 
-/** Write @p name with every byte needsEscape() marks as %XX. Runs of
- *  plain bytes go out in one write: this is on the serve hit path. */
+/** Append @p name with every byte needsEscape() marks as %XX. Runs of
+ *  plain bytes go out in one append: this is on the serve hit path. */
 void
-writeName(std::ostream &os, std::string_view name)
+appendName(std::string &out, std::string_view name)
 {
     static constexpr char kHex[] = "0123456789ABCDEF";
     size_t plain = 0;
@@ -31,46 +32,58 @@ writeName(std::ostream &os, std::string_view name)
         if (!needsEscape(name[i]))
             continue;
         const auto u = static_cast<unsigned char>(name[i]);
-        const char escape[3] = {'%', kHex[u >> 4], kHex[u & 15]};
-        os.write(name.data() + plain, static_cast<std::streamsize>(i - plain));
-        os.write(escape, 3);
+        out.append(name.data() + plain, i - plain);
+        out += '%';
+        out += kHex[u >> 4];
+        out += kHex[u & 15];
         plain = i + 1;
     }
-    os.write(name.data() + plain,
-             static_cast<std::streamsize>(name.size() - plain));
+    out.append(name.data() + plain, name.size() - plain);
 }
 
 } // namespace
 
 void
-writeText(const Dfg &dfg, std::ostream &os)
+appendText(const Dfg &dfg, std::string &out)
 {
-    os << "dfg ";
-    writeName(os, dfg.name().empty() ? std::string_view("unnamed")
-                                     : std::string_view(dfg.name()));
-    os << '\n';
+    // Room for the usual record lengths, so a kernel's text is written
+    // in one or two allocations.
+    out.reserve(out.size() + 16 + dfg.name().size() +
+                24 * dfg.numNodes() + 16 * dfg.numEdges());
+    out += "dfg ";
+    appendName(out, dfg.name().empty() ? std::string_view("unnamed")
+                                       : std::string_view(dfg.name()));
+    out += '\n';
     for (const Node &n : dfg.nodes()) {
-        os << "node " << n.id << ' ' << opName(n.op);
+        out += "node ";
+        support::appendInt(out, n.id);
+        out += ' ';
+        out += opName(n.op);
         if (!n.name.empty()) {
-            os << ' ';
-            writeName(os, n.name);
+            out += ' ';
+            appendName(out, n.name);
         }
-        os << '\n';
+        out += '\n';
     }
     for (const Edge &e : dfg.edges()) {
-        os << "edge " << e.src << ' ' << e.dst;
-        if (e.iterDistance != 0)
-            os << ' ' << e.iterDistance;
-        os << '\n';
+        out += "edge ";
+        support::appendInt(out, e.src);
+        out += ' ';
+        support::appendInt(out, e.dst);
+        if (e.iterDistance != 0) {
+            out += ' ';
+            support::appendInt(out, e.iterDistance);
+        }
+        out += '\n';
     }
 }
 
 std::string
 toText(const Dfg &dfg)
 {
-    std::ostringstream os;
-    writeText(dfg, os);
-    return os.str();
+    std::string out;
+    appendText(dfg, out);
+    return out;
 }
 
 namespace {

@@ -47,8 +47,8 @@ constexpr size_t kMaxTextEdges = 2048;
  *  in-tree kernels and fixtures use at most 3. */
 constexpr int kMaxTextIterDistance = 8;
 
-/** Write @p dfg in the text format. */
-void writeText(const Dfg &dfg, std::ostream &os);
+/** Append @p dfg in the text format to @p out. */
+void appendText(const Dfg &dfg, std::string &out);
 
 /** Render the text format to a string. */
 std::string toText(const Dfg &dfg);

@@ -10,10 +10,9 @@ Mapping::Mapping(const dfg::Dfg &dfg, std::shared_ptr<const arch::Mrrg> mrrg)
     : graph(&dfg), rrg(std::move(mrrg)),
       temporal(rrg->accel().temporalMapping())
 {
-    dfg::Analysis analysis(dfg);
     // Enough slack for schedules that stretch past the critical path while
     // wrapping the II a couple of times.
-    maxTime = analysis.criticalPathLength() + 2 * rrg->ii() + 4;
+    maxTime = dfg::criticalPathLength(dfg) + 2 * rrg->ii() + 4;
     if (!temporal)
         maxTime = 1;
     if (maxTime >= kTimeSpan)
@@ -73,6 +72,20 @@ Mapping::unplaceNode(dfg::NodeId v)
 void
 Mapping::setRoute(dfg::EdgeId e, std::vector<int> path)
 {
+    occupyRoute(e, path);
+    routes[e] = std::move(path);
+}
+
+void
+Mapping::assignRoute(dfg::EdgeId e, std::span<const int> path)
+{
+    occupyRoute(e, path);
+    routes[e].assign(path.begin(), path.end());
+}
+
+void
+Mapping::occupyRoute(dfg::EdgeId e, std::span<const int> path)
+{
     if (routed[e])
         panic("setRoute: edge ", e, " already routed");
     const dfg::Edge &edge = graph->edge(e);
@@ -86,7 +99,6 @@ Mapping::setRoute(dfg::EdgeId e, std::vector<int> path)
                                         1}));
     }
     routeResourceCount += static_cast<int>(path.size());
-    routes[e] = std::move(path);
     routed[e] = true;
     ++routedCount;
     if (txnActive && !txnReplaying)

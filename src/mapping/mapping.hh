@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "arch/mrrg.hh"
@@ -102,6 +103,10 @@ class Mapping
 
     /** Install a route; @p e must be un-routed and both endpoints placed. */
     void setRoute(dfg::EdgeId e, std::vector<int> path);
+
+    /** setRoute() from a borrowed path, copied straight into the edge's
+     *  own route storage (a cache hit replays stored spans). */
+    void assignRoute(dfg::EdgeId e, std::span<const int> path);
 
     /** Remove edge @p e's route (no-op when un-routed). */
     void clearRoute(dfg::EdgeId e);
@@ -211,6 +216,10 @@ class Mapping
         std::vector<int> prevPath{};
     };
 
+    /** The bookkeeping setRoute() and assignRoute() share: checks, then
+     *  occupies @p path's resources for edge @p e and marks it routed.
+     *  The caller stores the path in routes[e]. */
+    void occupyRoute(dfg::EdgeId e, std::span<const int> path);
     void addInstance(int res, int64_t key);
     void removeInstance(int res, int64_t key);
 

@@ -1,8 +1,7 @@
 #include "serve/proto.hh"
 
-#include <sstream>
-
 #include "support/json.hh"
+#include "support/text_append.hh"
 
 namespace lisa::serve {
 
@@ -59,25 +58,44 @@ decodeMapRequest(const std::string &line, MapRequest &out, std::string *error)
 std::string
 encodeMapResponse(const MapOutcome &o, double service_ms)
 {
-    std::ostringstream os;
+    std::string out;
     if (!o.ok) {
-        os << "{\"ok\":false,\"op\":\"map\",\"error\":\""
-           << jsonEscape(o.error) << "\",\"serviceMs\":" << service_ms
-           << "}";
-        return os.str();
+        out.reserve(64 + o.error.size());
+        out += "{\"ok\":false,\"op\":\"map\",\"error\":\"";
+        appendJsonEscaped(out, o.error);
+        out += "\",\"serviceMs\":";
+        support::appendDouble(out, service_ms);
+        out += '}';
+        return out;
     }
-    os << "{\"ok\":true,\"op\":\"map\",\"cacheHit\":"
-       << (o.cacheHit ? "true" : "false")
-       << ",\"coalesced\":" << (o.coalesced ? "true" : "false")
-       << ",\"ii\":" << o.ii << ",\"mii\":" << o.mii
-       << ",\"verified\":" << (o.verified ? "true" : "false")
-       << ",\"budgetClass\":\"" << jsonEscape(o.budgetClass)
-       << "\",\"winner\":\"" << jsonEscape(o.winner)
-       << "\",\"attempts\":" << o.attempts
-       << ",\"searchSeconds\":" << o.searchSeconds
-       << ",\"serviceMs\":" << service_ms << ",\"mapping\":\""
-       << jsonEscape(o.mappingText) << "\"}";
-    return os.str();
+    // The mapping text is most of the line; its escapes (one per line
+    // end) add about a tenth.
+    out.reserve(256 + o.budgetClass.size() + o.winner.size() +
+                o.mappingText.size() + o.mappingText.size() / 8);
+    out += "{\"ok\":true,\"op\":\"map\",\"cacheHit\":";
+    out += o.cacheHit ? "true" : "false";
+    out += ",\"coalesced\":";
+    out += o.coalesced ? "true" : "false";
+    out += ",\"ii\":";
+    support::appendInt(out, o.ii);
+    out += ",\"mii\":";
+    support::appendInt(out, o.mii);
+    out += ",\"verified\":";
+    out += o.verified ? "true" : "false";
+    out += ",\"budgetClass\":\"";
+    appendJsonEscaped(out, o.budgetClass);
+    out += "\",\"winner\":\"";
+    appendJsonEscaped(out, o.winner);
+    out += "\",\"attempts\":";
+    support::appendInt(out, o.attempts);
+    out += ",\"searchSeconds\":";
+    support::appendDouble(out, o.searchSeconds);
+    out += ",\"serviceMs\":";
+    support::appendDouble(out, service_ms);
+    out += ",\"mapping\":\"";
+    appendJsonEscaped(out, o.mappingText);
+    out += "\"}";
+    return out;
 }
 
 std::string

@@ -148,8 +148,7 @@ MappingService::serveEntry(ArchEntry &arch, const dfg::Dfg &request_dfg,
         for (int res : route)
             if (res < 0 || res >= mrrg->numResources())
                 return false;
-        translated.setRoute(canon.edgeOrder[canon_e],
-                            std::vector<int>(route.begin(), route.end()));
+        translated.assignRoute(canon.edgeOrder[canon_e], route);
     }
 
     // Verify-on-hit: the *served* bytes (translated to request ids, on

@@ -20,17 +20,22 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace lisa {
 
 /**
- * Escape @p s for embedding inside a double-quoted JSON string literal:
- * backslash, double quote, and every control character below 0x20 (the
- * common ones as the two-character forms, the rest as \u00XX). Does not
- * add the surrounding quotes.
+ * Append @p s to @p out escaped for embedding inside a double-quoted JSON
+ * string literal: backslash, double quote, and every control character
+ * below 0x20 (the common ones as the two-character forms, the rest as
+ * \u00xx). Does not add the surrounding quotes. Runs of bytes that need
+ * no escape are appended in one call.
  */
-std::string jsonEscape(const std::string &s);
+void appendJsonEscaped(std::string &out, std::string_view s);
+
+/** appendJsonEscaped() into a fresh string. */
+std::string jsonEscape(std::string_view s);
 
 /**
  * One parsed JSON value. Objects use std::map (ordered, deterministic

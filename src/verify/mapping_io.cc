@@ -1,6 +1,5 @@
 #include "verify/mapping_io.hh"
 
-#include <ostream>
 #include <sstream>
 #include <vector>
 
@@ -8,6 +7,7 @@
 #include "arch/systolic.hh"
 #include "dfg/serialize.hh"
 #include "support/logging.hh"
+#include "support/text_append.hh"
 
 namespace lisa::verify {
 
@@ -39,22 +39,25 @@ fail(std::string *error, const std::string &msg)
 std::string
 accelSpecOf(const arch::Accelerator &accel)
 {
+    std::string out;
     if (const auto *cgra = dynamic_cast<const arch::CgraArch *>(&accel)) {
         const arch::CgraConfig &cfg = cgra->config();
-        std::ostringstream os;
-        os << "accel cgra " << cfg.rows << ' ' << cfg.cols << ' '
-           << cfg.registersPerPe << ' '
-           << (cfg.memPolicy == arch::MemPolicy::AllPes ? "all" : "left")
-           << ' ' << cfg.configDepth;
-        return os.str();
+        out = "accel cgra ";
+        support::appendInt(out, cfg.rows);
+        out += ' ';
+        support::appendInt(out, cfg.cols);
+        out += ' ';
+        support::appendInt(out, cfg.registersPerPe);
+        out += cfg.memPolicy == arch::MemPolicy::AllPes ? " all " : " left ";
+        support::appendInt(out, cfg.configDepth);
+    } else if (const auto *sys =
+                   dynamic_cast<const arch::SystolicArch *>(&accel)) {
+        out = "accel systolic ";
+        support::appendInt(out, sys->rows());
+        out += ' ';
+        support::appendInt(out, sys->cols());
     }
-    if (const auto *sys =
-            dynamic_cast<const arch::SystolicArch *>(&accel)) {
-        std::ostringstream os;
-        os << "accel systolic " << sys->rows() << ' ' << sys->cols();
-        return os.str();
-    }
-    return {};
+    return out;
 }
 
 std::unique_ptr<arch::Accelerator>
@@ -97,45 +100,58 @@ accelFromSpec(const std::string &spec, std::string *error)
     return nullptr;
 }
 
-void
-writeMapping(const map::Mapping &mapping, std::ostream &os)
+std::string
+mappingToText(const map::Mapping &mapping)
 {
     const std::string spec = accelSpecOf(mapping.mrrg().accel());
     if (spec.empty())
-        fatal("writeMapping: accelerator '", mapping.mrrg().accel().name(),
+        fatal("mappingToText: accelerator '", mapping.mrrg().accel().name(),
               "' has no serializable spec");
 
     const dfg::Dfg &dfg = mapping.dfg();
-    os << "lisa-mapping v1\n" << spec << "\nii " << mapping.mrrg().ii()
-       << "\ndfg-begin\n";
-    dfg::writeText(dfg, os);
-    os << "dfg-end\n";
+    // Room for the header, the DFG text and the usual place and route
+    // lines, so the artifact is written in one allocation.
+    std::string out;
+    out.reserve(64 + spec.size() + 48 * dfg.numNodes() +
+                40 * dfg.numEdges() +
+                8 * static_cast<size_t>(mapping.totalRouteResources()));
+    out += "lisa-mapping v1\n";
+    out += spec;
+    out += "\nii ";
+    support::appendInt(out, mapping.mrrg().ii());
+    out += "\ndfg-begin\n";
+    dfg::appendText(dfg, out);
+    out += "dfg-end\n";
     for (dfg::NodeId v = 0; v < static_cast<dfg::NodeId>(dfg.numNodes());
          ++v) {
         if (!mapping.isPlaced(v))
             continue;
         const map::Placement &p = mapping.placement(v);
-        os << "place " << v << ' ' << p.pe << ' ' << p.time << '\n';
+        out += "place ";
+        support::appendInt(out, v);
+        out += ' ';
+        support::appendInt(out, p.pe.value());
+        out += ' ';
+        support::appendInt(out, p.time.value());
+        out += '\n';
     }
     for (dfg::EdgeId e = 0; e < static_cast<dfg::EdgeId>(dfg.numEdges());
          ++e) {
         if (!mapping.isRouted(e))
             continue;
         const auto &path = mapping.route(e);
-        os << "route " << e << ' ' << path.size();
-        for (int res : path)
-            os << ' ' << res;
-        os << '\n';
+        out += "route ";
+        support::appendInt(out, e);
+        out += ' ';
+        support::appendInt(out, path.size());
+        for (int res : path) {
+            out += ' ';
+            support::appendInt(out, res);
+        }
+        out += '\n';
     }
-    os << "end\n";
-}
-
-std::string
-mappingToText(const map::Mapping &mapping)
-{
-    std::ostringstream os;
-    writeMapping(mapping, os);
-    return os.str();
+    out += "end\n";
+    return out;
 }
 
 std::optional<LoadedMapping>

@@ -62,13 +62,10 @@ std::unique_ptr<arch::Accelerator> accelFromSpec(const std::string &spec,
                                                  std::string *error = nullptr);
 
 /**
- * Write @p mapping in the text format. The accelerator must be a CgraArch
- * or SystolicArch (the spec line must be reconstructible); fatal()
- * otherwise.
+ * Render @p mapping in the text format. The accelerator must be a
+ * CgraArch or SystolicArch (the spec line must be reconstructible);
+ * fatal() otherwise.
  */
-void writeMapping(const map::Mapping &mapping, std::ostream &os);
-
-/** Render the text format to a string. */
 std::string mappingToText(const map::Mapping &mapping);
 
 /**

@@ -4,7 +4,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "arch/arch_context.hh"
@@ -48,6 +47,21 @@ struct FrameworkTest : public ::testing::Test
     void TearDown() override { std::filesystem::remove_all(cache); }
     std::string cache;
 };
+
+TEST(HeldOut, CountHoldsOneOutOfTwoOrMoreAndNeverAll)
+{
+    EXPECT_EQ(heldOutCount(0), 0u);
+    EXPECT_EQ(heldOutCount(1), 0u);
+    // 15% rounds down to none below 7 graphs; one is held out anyway.
+    for (size_t kept = 2; kept <= 13; ++kept)
+        EXPECT_EQ(heldOutCount(kept), 1u) << kept;
+    EXPECT_EQ(heldOutCount(14), 2u);
+    EXPECT_EQ(heldOutCount(100), 15u);
+    for (size_t kept = 2; kept <= 200; ++kept) {
+        EXPECT_GE(heldOutCount(kept), 1u) << kept;
+        EXPECT_LT(heldOutCount(kept), kept) << kept;
+    }
+}
 
 TEST_F(FrameworkTest, PrepareTrainsAndCaches)
 {
@@ -216,10 +230,8 @@ TEST_F(FrameworkTest, CompilePortfolioRacesAndReproduces)
     ASSERT_TRUE(r2.success);
     EXPECT_EQ(r2.winner, r1.winner);
     EXPECT_EQ(r2.ii, r1.ii);
-    std::ostringstream t1, t2;
-    verify::writeMapping(*r1.mapping, t1);
-    verify::writeMapping(*r2.mapping, t2);
-    EXPECT_EQ(t2.str(), t1.str());
+    EXPECT_EQ(verify::mappingToText(*r2.mapping),
+              verify::mappingToText(*r1.mapping));
 }
 
 TEST_F(FrameworkTest, UnpreparedUsePanics)

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -206,9 +205,7 @@ TEST(PortfolioDeterminism, SameSeedThreadsMembersReproduceWinnerBitwise)
         ASSERT_TRUE(r.mapping.has_value());
         winners.push_back(r.winner);
         iis.push_back(r.ii);
-        std::ostringstream os;
-        verify::writeMapping(*r.mapping, os);
-        texts.push_back(os.str());
+        texts.push_back(verify::mappingToText(*r.mapping));
     }
     ThreadPool::setGlobalThreads(1);
 

@@ -59,8 +59,8 @@ writeDemo(const std::string &path)
         return 1;
     }
     os << "# " << suite.front().name << " on " << accel.name() << ", II "
-       << result.ii << "\n";
-    verify::writeMapping(*result.mapping, os);
+       << result.ii << "\n"
+       << verify::mappingToText(*result.mapping);
     std::cout << path << ": wrote " << suite.front().name << " mapping at II "
               << result.ii << "\n";
     return 0;
